@@ -100,7 +100,7 @@ func EncodeAll(groups [][]float64, numPlanes, workers int) ([]*Block, error) {
 			blk.Signs, terrs[ti] = compressFragment(signs[t.gi])
 			return
 		}
-		blk.Planes[t.p], terrs[ti] = slicePlane(mags[t.gi], blk.N, numPlanes, t.p)
+		blk.Planes[t.p], terrs[ti] = slicePlane(mags[t.gi], numPlanes, t.p)
 	})
 	for _, err := range terrs {
 		if err != nil {
@@ -153,15 +153,37 @@ func prepare(vals []float64, numPlanes int) (*Block, []uint64, []byte, error) {
 // slicePlane extracts plane p (MSB-first) of the fixed-point magnitudes as
 // a bitmap and compresses it. Pure function of its arguments, so plane
 // tasks can run on any goroutine in any order.
-func slicePlane(mags []uint64, n, numPlanes, p int) ([]byte, error) {
-	bit := uint(numPlanes - 1 - p)
-	raw := make([]byte, (n+7)/8)
-	for i, m := range mags {
-		if m>>bit&1 == 1 {
-			raw[i/8] |= 1 << uint(i%8)
-		}
+func slicePlane(mags []uint64, numPlanes, p int) ([]byte, error) {
+	return compressFragment(planeBitmap(mags, uint(numPlanes-1-p)))
+}
+
+// planeBitmap packs bit `bit` of every magnitude into an LSB-first bitmap
+// of ceil(len(mags)/8) bytes. Each full byte is assembled from 8
+// magnitudes with shifts only: the low planes are close to random bits, so
+// a per-bit branch would mispredict about half the time.
+func planeBitmap(mags []uint64, bit uint) []byte {
+	raw := make([]byte, (len(mags)+7)/8)
+	bit &= 63 // lets the compiler drop the shift-overflow check
+	full := raw[:len(mags)/8]
+	for j := range full {
+		m := mags[8*j : 8*j+8 : 8*j+8]
+		full[j] = byte(m[0]>>bit&1) |
+			byte(m[1]>>bit&1)<<1 |
+			byte(m[2]>>bit&1)<<2 |
+			byte(m[3]>>bit&1)<<3 |
+			byte(m[4]>>bit&1)<<4 |
+			byte(m[5]>>bit&1)<<5 |
+			byte(m[6]>>bit&1)<<6 |
+			byte(m[7]>>bit&1)<<7
 	}
-	return compressFragment(raw)
+	if tail := mags[8*len(full):]; len(tail) > 0 {
+		var b byte
+		for i, m := range tail {
+			b |= byte(m>>bit&1) << uint(i)
+		}
+		raw[len(full)] = b
+	}
+	return raw
 }
 
 // runTasks runs fn(0..n-1) on up to workers goroutines, handing out indices

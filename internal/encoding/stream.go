@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // ZigZag maps a signed integer to an unsigned one with small magnitudes
@@ -56,17 +57,38 @@ func GetUvarints(data []byte) ([]uint64, int, error) {
 	return out, off, nil
 }
 
-// Deflate compresses data with DEFLATE at the given level (1..9; 0 means
+// deflaters holds reusable DEFLATE compressors, one pool per level from
+// flate.HuffmanOnly (-2) to flate.BestCompression (9): a fresh
+// flate.NewWriter allocates about 1 MB of state, and Deflate runs once per
+// stored fragment.
+var deflaters [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+
+// inflaters holds reusable DEFLATE decompressors (each also a
+// flate.Resetter).
+var inflaters sync.Pool
+
+// Deflate compresses data with DEFLATE at the given level (-2..9; 0 means
 // flate.DefaultCompression).
 func Deflate(data []byte, level int) ([]byte, error) {
 	if level == 0 {
 		level = flate.DefaultCompression
 	}
-	var b bytes.Buffer
-	w, err := flate.NewWriter(&b, level)
-	if err != nil {
-		return nil, err
+	if level < flate.HuffmanOnly || level > flate.BestCompression {
+		return nil, fmt.Errorf("encoding: invalid deflate level %d", level)
 	}
+	// The output buffer is not pooled: callers keep the returned slice.
+	var b bytes.Buffer
+	pool := &deflaters[level-flate.HuffmanOnly]
+	w, ok := pool.Get().(*flate.Writer)
+	if ok {
+		w.Reset(&b) // documented as equivalent to flate.NewWriter(&b, level)
+	} else {
+		var err error
+		if w, err = flate.NewWriter(&b, level); err != nil {
+			return nil, err
+		}
+	}
+	defer pool.Put(w)
 	if _, err := w.Write(data); err != nil {
 		return nil, err
 	}
@@ -82,8 +104,18 @@ func Inflate(data []byte, maxSize int64) ([]byte, error) {
 	if maxSize <= 0 {
 		maxSize = 1 << 30
 	}
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
+	src := bytes.NewReader(data)
+	r, ok := inflaters.Get().(io.ReadCloser)
+	if ok {
+		// Reset discards all state of the previous stream, including a
+		// sticky error from a corrupt one.
+		if err := r.(flate.Resetter).Reset(src, nil); err != nil {
+			return nil, fmt.Errorf("%w: inflate: %v", ErrCorrupt, err)
+		}
+	} else {
+		r = flate.NewReader(src)
+	}
+	defer inflaters.Put(r)
 	var b bytes.Buffer
 	n, err := io.Copy(&b, io.LimitReader(r, maxSize+1))
 	if err != nil {

@@ -160,16 +160,33 @@ func (d *Decomposition) groupIndices(gIdx int, fn func(off int)) {
 	walk(0, 0, false)
 }
 
-// GroupSize returns the number of coefficients in group gIdx.
+// GroupSize returns the number of coefficients in group gIdx: the nodes
+// groupIndices visits, counted per dimension instead of walked. Group 0 is
+// the coarsest lattice; a detail group is its level's lattice minus the
+// next coarser one (the nodes with at least one odd coordinate).
 func (d *Decomposition) GroupSize(gIdx int) int {
-	n := 0
-	d.groupIndices(gIdx, func(int) { n++ })
-	return n
+	if gIdx == 0 {
+		coarse := grid.LevelStride(d.Steps)
+		n := 1
+		for dim := 0; dim < d.Grid.NDims(); dim++ {
+			n *= (d.Grid.Dim(dim)-1)/coarse + 1
+		}
+		return n
+	}
+	fine := grid.LevelStride(d.GroupLevel(gIdx))
+	all, even := 1, 1
+	for dim := 0; dim < d.Grid.NDims(); dim++ {
+		if ext := d.Grid.Dim(dim); fine < ext {
+			all *= (ext-1)/fine + 1
+			even *= (ext-1)/(2*fine) + 1
+		}
+	}
+	return all - even
 }
 
 // Group copies the coefficients of group gIdx.
 func (d *Decomposition) Group(gIdx int) []float64 {
-	out := make([]float64, 0, 64)
+	out := make([]float64, 0, d.GroupSize(gIdx))
 	d.groupIndices(gIdx, func(off int) { out = append(out, d.coeffs[off]) })
 	return out
 }

@@ -100,10 +100,15 @@ func TestGroupsPartitionTheGrid(t *testing.T) {
 		seen := make(map[int]int)
 		total := 0
 		for gi := 0; gi < d.NumGroups(); gi++ {
+			walked := 0
 			d.groupIndices(gi, func(off int) {
 				seen[off]++
 				total++
+				walked++
 			})
+			if got := d.GroupSize(gi); got != walked {
+				t.Errorf("%v: group %d size %d, walk visits %d", dims, gi, got, walked)
+			}
 		}
 		if total != g.Size() {
 			t.Errorf("%v: groups cover %d of %d offsets", dims, total, g.Size())

@@ -14,16 +14,21 @@ import (
 // fragments, each framed. The layout is self-describing and validated by
 // Unmarshal.
 func (r *Refactored) Marshal() []byte {
+	hdr := r.header()
+	out := make([]byte, 0, 4+len(hdr)+4+4*len(r.Fragments)+int(r.TotalBytes()))
+	out = encoding.PutSection(out, hdr)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(r.Fragments)))
+	for _, f := range r.Fragments {
+		out = encoding.PutSection(out, f)
+	}
+	return out
+}
+
+// header serializes the metadata section of Marshal's layout.
+func (r *Refactored) header() []byte {
 	var hdr []byte
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		hdr = append(hdr, tmp[:4]...)
-	}
-	put64 := func(v float64) {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		hdr = append(hdr, tmp[:]...)
-	}
+	put32 := func(v uint32) { hdr = binary.LittleEndian.AppendUint32(hdr, v) }
+	put64 := func(v float64) { hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(v)) }
 	put32(uint32(r.Method))
 	put32(uint32(len(r.Dims)))
 	for _, d := range r.Dims {
@@ -55,21 +60,13 @@ func (r *Refactored) Marshal() []byte {
 		put32(uint32(int32(blk.Exp)))
 		put32(uint32(blk.B))
 	}
-
-	out := encoding.PutSection(nil, hdr)
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(r.Fragments)))
-	out = append(out, cnt[:]...)
-	for _, f := range r.Fragments {
-		out = encoding.PutSection(out, f)
-	}
-	return out
+	return hdr
 }
 
 // MetadataBytes returns the size of the marshalled metadata header — the
 // upfront cost a retrieval session pays before any fragment.
 func (r *Refactored) MetadataBytes() int64 {
-	return int64(len(r.Marshal())) - r.TotalBytes() - 4*int64(len(r.Fragments)) - 4
+	return int64(4 + len(r.header())) // the header section and its length prefix
 }
 
 // Unmarshal parses Marshal output.

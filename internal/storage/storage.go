@@ -453,12 +453,12 @@ func appendU32(b []byte, v uint32) []byte {
 	return append(b, tmp[:]...)
 }
 
-// withCRC frames a blob with a CRC32C trailer.
+// withCRC frames a blob with a CRC32C trailer, appending it in place: a
+// blob built with 4 bytes of spare capacity (as marshalVariable's is) is
+// not copied. The caller must own blob.
 func withCRC(blob []byte) []byte {
-	out := make([]byte, 0, len(blob)+4)
-	out = append(out, blob...)
 	crc := crc32.Checksum(blob, crc32.MakeTable(crc32.Castagnoli))
-	return appendU32(out, crc)
+	return appendU32(blob, crc)
 }
 
 func checkCRC(raw []byte) ([]byte, error) {
@@ -486,13 +486,16 @@ func DecodeVariable(blob []byte) (*core.Variable, error) { return unmarshalVaria
 // marshalVariable serializes a core.Variable: name, range, zero mask, and
 // its refactored representation.
 func marshalVariable(v *core.Variable) []byte {
-	var out []byte
+	mask := packMask(v.ZeroMask)
+	ref := v.Ref.Marshal()
+	// Four framed sections, plus room for the CRC trailer withCRC appends.
+	out := make([]byte, 0, 4+len(v.Name)+4+8+4+len(mask)+4+len(ref)+4)
 	out = encoding.PutSection(out, []byte(v.Name))
 	var rb [8]byte
 	binary.LittleEndian.PutUint64(rb[:], math.Float64bits(v.Range))
 	out = encoding.PutSection(out, rb[:])
-	out = encoding.PutSection(out, packMask(v.ZeroMask))
-	out = encoding.PutSection(out, v.Ref.Marshal())
+	out = encoding.PutSection(out, mask)
+	out = encoding.PutSection(out, ref)
 	return out
 }
 
