@@ -9,7 +9,9 @@
 // maxConcurrent. The fix moved the reads under the same critical
 // section; this analyzer makes the rule survive the next refactor, for
 // every annotated field in internal/server, internal/client,
-// internal/obs and internal/storage.
+// internal/obs, internal/storage, internal/storage/objstore and
+// internal/lru. Package matching is exact: a subpackage is checked only
+// when listed itself.
 //
 // # Annotation
 //
@@ -84,7 +86,8 @@ var pkgs string
 func init() {
 	Analyzer.Flags.Init("lockguard", flag.ContinueOnError)
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"progqoi/internal/server,progqoi/internal/client,progqoi/internal/obs,progqoi/internal/storage",
+		"progqoi/internal/server,progqoi/internal/client,progqoi/internal/obs,progqoi/internal/storage,"+
+			"progqoi/internal/storage/objstore,progqoi/internal/lru",
 		"comma-separated package paths the check applies to (empty: all)")
 }
 
@@ -135,7 +138,9 @@ func run(pass *analysis.Pass) (any, error) {
 		if !ok {
 			return true
 		}
-		g, ok := guards[fieldVar]
+		// A field selected through an instantiated generic type is a
+		// distinct object; the annotation lives on its origin.
+		g, ok := guards[fieldVar.Origin()]
 		if !ok {
 			return true
 		}

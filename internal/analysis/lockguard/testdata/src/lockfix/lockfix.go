@@ -109,3 +109,25 @@ type wrongType struct {
 	lock int
 	m    map[string]int // guarded by lock // want `stale annotation`
 }
+
+// box is generic: inside its methods, and through any instantiation,
+// a field selection yields the instantiated field, which the check must
+// map back to the annotated origin.
+type box[K comparable] struct {
+	mu    sync.Mutex
+	items map[K]int // guarded by mu
+}
+
+func (b *box[K]) get(k K) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.items[k]
+}
+
+func (b *box[K]) bad(k K) int {
+	return b.items[k] // want `read of b\.items without holding`
+}
+
+func peek(b *box[string]) int {
+	return len(b.items) // want `read of b\.items without holding`
+}

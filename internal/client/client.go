@@ -28,7 +28,9 @@ import (
 	"time"
 
 	"progqoi/internal/encoding"
+	"progqoi/internal/lru"
 	"progqoi/internal/obs"
+	"progqoi/internal/retry"
 	"progqoi/internal/server"
 )
 
@@ -104,14 +106,8 @@ func (o Options) withDefaults() Options {
 		tr.ResponseHeaderTimeout = 30 * time.Second
 		o.HTTPClient = &http.Client{Transport: tr}
 	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	} else if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 50 * time.Millisecond
-	}
+	o.MaxRetries = retry.Budget(o.MaxRetries)
+	o.RetryBackoff = retry.FirstDelay(o.RetryBackoff)
 	if o.CacheBytes == 0 {
 		o.CacheBytes = DefaultCacheBytes
 	} else if o.CacheBytes < 0 {
@@ -196,7 +192,7 @@ type call struct {
 type Client struct {
 	hc    *http.Client
 	opts  Options
-	cache *lruCache
+	cache *lru.Cache[fragKey]
 
 	// topo is the current epoch-numbered topology view (see view.go),
 	// swapped whole on membership changes — the client-side mirror of
@@ -217,7 +213,7 @@ type Client struct {
 	closeOnce   sync.Once
 
 	mu       sync.Mutex
-	inflight map[string]*call // guarded by mu
+	inflight map[fragKey]*call // guarded by mu
 
 	idxMu   sync.Mutex
 	indexes map[string]*server.Index // guarded by idxMu
@@ -225,7 +221,6 @@ type Client struct {
 	wireBytes    atomic.Int64
 	wireRequests atomic.Int64
 	fragsFetched atomic.Int64
-	cacheHits    atomic.Int64
 	coalesced    atomic.Int64
 	speculated   atomic.Int64
 	failovers    atomic.Int64
@@ -243,8 +238,8 @@ func New(baseURL string, opt Options) (*Client, error) {
 	c := &Client{
 		hc:          opt.HTTPClient,
 		opts:        opt,
-		cache:       newLRUCache(opt.CacheBytes),
-		inflight:    map[string]*call{},
+		cache:       lru.New[fragKey](opt.CacheBytes),
+		inflight:    map[fragKey]*call{},
 		indexes:     map[string]*server.Index{},
 		epByURL:     map[string]*endpoint{},
 		refreshStop: make(chan struct{}),
@@ -283,7 +278,7 @@ func (c *Client) Endpoints() []string {
 
 // Stats snapshots the wire accounting.
 func (c *Client) Stats() Stats {
-	cb, ce, ev := c.cache.stats()
+	cs := c.cache.Stats()
 	v := c.view()
 	st := Stats{
 		TopologyEpoch:    v.epoch,
@@ -291,15 +286,15 @@ func (c *Client) Stats() Stats {
 		WireBytes:        c.wireBytes.Load(),
 		WireRequests:     c.wireRequests.Load(),
 		FragmentsFetched: c.fragsFetched.Load(),
-		CacheHits:        c.cacheHits.Load(),
+		CacheHits:        cs.Hits,
 		Coalesced:        c.coalesced.Load(),
 		Speculated:       c.speculated.Load(),
 		Failovers:        c.failovers.Load(),
 		RetryPasses:      c.retryPasses.Load(),
 		RateLimited:      c.rateLimited.Load(),
-		CacheBytes:       cb,
-		CacheEntries:     ce,
-		CacheEvictions:   ev,
+		CacheBytes:       cs.Bytes,
+		CacheEntries:     cs.Entries,
+		CacheEvictions:   cs.Evictions,
 	}
 	for _, ep := range v.eps {
 		st.Routable = append(st.Routable, ep.base)
@@ -432,16 +427,18 @@ func indexFragSize(idx *server.Index, vr string, fi int) int64 {
 	return -1
 }
 
-func fragKey(dataset, vr string, fi int) string {
-	return dataset + "\x00" + vr + "\x00" + strconv.Itoa(fi)
+// fragKey names one fragment of one dataset: the key of the cache, the
+// coalescing table and a batch fetch's results.
+type fragKey struct {
+	dataset, vr string
+	fi          int
 }
 
 // Fragment fetches a single fragment through the cache via the
 // single-fragment GET endpoint, routed to the fragment's shard.
 func (c *Client) Fragment(ctx context.Context, dataset, vr string, fi int) ([]byte, error) {
-	key := fragKey(dataset, vr, fi)
-	if v, ok := c.cache.get(key); ok {
-		c.cacheHits.Add(1)
+	key := fragKey{dataset, vr, fi}
+	if v, ok := c.cache.Get(key); ok {
 		return v, nil
 	}
 	if ctx == nil {
@@ -470,7 +467,7 @@ func (c *Client) Fragment(ctx context.Context, dataset, vr string, fi int) ([]by
 	c.wireBytes.Add(int64(len(b)))
 	mf.EndBytes(int64(len(b)))
 	c.fragsFetched.Add(1)
-	c.cache.add(key, b)
+	c.cache.Add(key, b)
 	return b, nil
 }
 
@@ -508,21 +505,20 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 	type pending struct {
 		vr  string
 		fi  int
-		key string
+		key fragKey
 		cl  *call
 	}
 	var owned, waited []pending
-	seen := map[string]bool{}
+	seen := map[fragKey]bool{}
 	c.mu.Lock()
 	for _, vr := range sortedKeys(wants) {
 		for _, fi := range wants[vr] {
-			key := fragKey(dataset, vr, fi)
+			key := fragKey{dataset, vr, fi}
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
-			if v, ok := c.cache.get(key); ok {
-				c.cacheHits.Add(1)
+			if v, ok := c.cache.Get(key); ok {
 				put(vr, fi, v)
 				continue
 			}
@@ -579,7 +575,7 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 				// reference would pin the full blob in memory long after
 				// eviction shrank the accounted cache size.
 				p.cl.val = bytes.Clone(got[p.key])
-				c.cache.add(p.key, p.cl.val)
+				c.cache.Add(p.key, p.cl.val)
 				c.wireBytes.Add(int64(len(p.cl.val)))
 				fetched += int64(len(p.cl.val))
 				c.fragsFetched.Add(1)

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"progqoi/internal/obs"
+	"progqoi/internal/retry"
 	"progqoi/internal/server"
 )
 
@@ -351,7 +352,7 @@ func (c *Client) doKeyed(ctx context.Context, key string, replicaSet bool, metho
 	}
 	var lastErr error
 	attempts := 0
-	backoff := c.opts.RetryBackoff
+	bo := retry.NewBackoff(c.opts.RetryBackoff)
 	var retryAfter time.Duration
 	for pass := 0; pass <= c.opts.MaxRetries; pass++ {
 		if pass > 0 {
@@ -360,18 +361,9 @@ func (c *Client) doKeyed(ctx context.Context, key string, replicaSet bool, metho
 			// it exceeds our own exponential backoff: the server told us
 			// when budget returns, and hammering earlier just burns the
 			// remaining retry passes on guaranteed 429s.
-			wait := backoff
-			if retryAfter > wait {
-				wait = retryAfter
+			if err := bo.Wait(ctx, retryAfter); err != nil {
+				return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
 			}
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("client: %s %s: %w", method, path, ctx.Err())
-			case <-t.C:
-			}
-			backoff *= 2
 			c.refreshAfterFailedPass(ctx)
 		}
 		retryAfter = 0
@@ -432,9 +424,8 @@ func (c *Client) ClusterInfo(ctx context.Context) (*server.ClusterInfo, error) {
 
 // shardItem is one fragment routed through the sharded batch fetch.
 type shardItem struct {
-	vr  string
-	fi  int
-	key string // fragKey (cache/result key)
+	vr string
+	fi int
 }
 
 // fetchShards fetches the given fragments from the cluster: each fragment
@@ -452,21 +443,21 @@ type shardItem struct {
 // once, so Failovers can never double-count a fragment across passes or
 // view swaps. The result maps fragKey to payload (payloads alias the
 // response blobs; callers clone before caching).
-func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[string][]int, workers int) (map[string][]byte, error) {
+func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[string][]int, workers int) (map[fragKey][]byte, error) {
 	var items []shardItem
 	for _, vr := range sortedKeys(wants) {
 		for _, fi := range wants[vr] {
-			items = append(items, shardItem{vr: vr, fi: fi, key: fragKey(dataset, vr, fi)})
+			items = append(items, shardItem{vr: vr, fi: fi})
 		}
 	}
 	if workers <= 0 {
 		workers = 1
 	}
-	got := map[string][]byte{}
+	got := map[fragKey][]byte{}
 	remaining := items
 	excluded := map[*endpoint]bool{}
 	var lastErr error
-	backoff := c.opts.RetryBackoff
+	bo := retry.NewBackoff(c.opts.RetryBackoff)
 	var retryAfter time.Duration
 	pass := 0
 	for len(remaining) > 0 {
@@ -522,18 +513,9 @@ func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[stri
 			// As in doKeyed: when the pass died throttled, wait out the
 			// server's Retry-After rather than our (possibly shorter)
 			// exponential backoff.
-			wait := backoff
-			if retryAfter > wait {
-				wait = retryAfter
+			if err := bo.Wait(ctx, retryAfter); err != nil {
+				return nil, fmt.Errorf("client: batch fetch: %w", err)
 			}
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("client: batch fetch: %w", ctx.Err())
-			case <-t.C:
-			}
-			backoff *= 2
 			retryAfter = 0
 			excluded = map[*endpoint]bool{}
 			c.refreshAfterFailedPass(ctx)
@@ -589,7 +571,7 @@ func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[stri
 			switch {
 			case res.err == nil:
 				for _, f := range res.frags {
-					got[fragKey(dataset, f.Var, f.Index)] = f.Payload
+					got[fragKey{dataset, f.Var, f.Index}] = f.Payload
 				}
 				for i := range res.as.items {
 					if !res.as.primary[i] {

@@ -80,6 +80,7 @@ import (
 	"time"
 
 	"progqoi/internal/core"
+	"progqoi/internal/lru"
 	"progqoi/internal/obs"
 	"progqoi/internal/storage"
 )
@@ -162,7 +163,7 @@ type Options struct {
 type dataset struct {
 	name string
 	// gen is the catalog load generation that produced this dataset; it
-	// prefixes hot-cache keys so a republished dataset can never be served
+	// is part of every hotKey so a republished dataset can never be served
 	// stale fragment bytes cached under its previous incarnation.
 	gen int64
 	// fingerprint identifies the dataset's stored bytes (manifest + every
@@ -262,9 +263,9 @@ type Server struct {
 	mux   *http.ServeMux
 	adm   *admitter
 	cat   atomic.Pointer[catalog]
-	gen   atomic.Int64 // dataset load generations (hot-cache key prefix)
+	gen   atomic.Int64 // dataset load generations (part of every hotKey)
 	start time.Time
-	hot   *hotCache
+	hot   *lru.Cache[hotKey]
 
 	// tenants holds per-tenant limiter/accounting state, sorted by name;
 	// empty on an anonymous server. The slice is immutable after New.
@@ -344,7 +345,7 @@ func New(ctx context.Context, st storage.Store, opt Options) (*Server, error) {
 		opts:     opt,
 		adm:      newAdmitter(opt.MaxInflight, opt.MaxQueue*opt.MaxInflight),
 		start:    time.Now(),
-		hot:      newHotCache(opt.HotCacheBytes),
+		hot:      lru.New[hotKey](opt.HotCacheBytes),
 		memb:     newMembership(opt),
 		membStop: make(chan struct{}),
 	}
@@ -622,7 +623,7 @@ func (s *Server) Stats() Stats {
 	s.limMu.Lock()
 	requests, inflight, maxSeen := s.requests, s.inflight, s.maxSeen
 	s.limMu.Unlock()
-	hc := s.hot.stats()
+	hc := s.hot.Stats()
 	depths := s.adm.depths()
 	mm := s.memb.metrics()
 	var tstats []TenantStats
@@ -644,11 +645,11 @@ func (s *Server) Stats() Stats {
 		Inflight:          inflight,
 		MaxConcurrent:     maxSeen,
 		FragmentBytes:     s.fragBytes.Load(),
-		HotCacheBytes:     hc.bytes,
-		HotCacheEntries:   hc.entries,
-		HotCacheHits:      hc.hits,
-		HotCacheMisses:    hc.misses,
-		HotCacheEvictions: hc.evictions,
+		HotCacheBytes:     hc.Bytes,
+		HotCacheEntries:   hc.Entries,
+		HotCacheHits:      hc.Hits,
+		HotCacheMisses:    hc.Misses,
+		HotCacheEvictions: hc.Evictions,
 		Reloads:           s.reloads.Load(),
 		ReloadFailures:    s.reloadFailures.Load(),
 		DatasetsLoaded:    s.datasetsLoaded.Load(),
@@ -784,14 +785,20 @@ func (s *Server) reject429(w http.ResponseWriter, retryAfter time.Duration) {
 	http.Error(w, "tenant over rate limit", http.StatusTooManyRequests)
 }
 
+// hotKey names one fragment in the hot cache. It carries the dataset's
+// load generation, so a republished dataset starts from a cold slice of
+// the cache instead of inheriting its predecessor's bytes (stale entries
+// age out of the LRU).
+type hotKey struct {
+	gen    int64
+	vi, fi int
+}
+
 // fragment returns one fragment payload: hot-cache hit, or a ranged store
-// read verified against the fragment's recorded ETag. Cache keys carry the
-// dataset's load generation, so a republished dataset starts from a cold
-// slice of the cache instead of inheriting its predecessor's bytes (stale
-// entries age out of the LRU).
+// read verified against the fragment's recorded ETag.
 func (s *Server) fragment(ctx context.Context, ds *dataset, vi, fi int) ([]byte, error) {
-	key := strconv.FormatInt(ds.gen, 10) + "\x00" + ds.vars[vi].Name + "\x00" + strconv.Itoa(fi)
-	if b, ok := s.hot.get(key); ok {
+	key := hotKey{ds.gen, vi, fi}
+	if b, ok := s.hot.Get(key); ok {
 		return b, nil
 	}
 	loc := ds.fragLocs[vi][fi]
@@ -823,7 +830,7 @@ func (s *Server) fragment(ctx context.Context, ds *dataset, vi, fi int) ([]byte,
 		return nil, fmt.Errorf("server: fragment %s/%s/%d corrupt at rest: etag %s, recorded %s",
 			ds.name, ds.vars[vi].Name, fi, got, ds.fragTags[vi][fi])
 	}
-	s.hot.add(key, b)
+	s.hot.Add(key, b)
 	return b, nil
 }
 

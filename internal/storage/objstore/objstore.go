@@ -45,13 +45,14 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"progqoi/internal/lru"
 	"progqoi/internal/obs"
+	"progqoi/internal/retry"
 	"progqoi/internal/storage"
 )
 
@@ -61,11 +62,11 @@ const DefaultCacheBytes = 64 << 20
 
 // DefaultMaxRetries is the retry budget for transient faults when
 // Options.MaxRetries is zero.
-const DefaultMaxRetries = 3
+const DefaultMaxRetries = retry.DefaultMaxRetries
 
 // DefaultRetryBackoff is the initial backoff when Options.RetryBackoff is
 // zero; it doubles per attempt.
-const DefaultRetryBackoff = 50 * time.Millisecond
+const DefaultRetryBackoff = retry.DefaultBackoff
 
 // ErrETagChanged reports an object whose ETag no longer matches the one
 // recorded when this store first read it: the bucket was republished
@@ -137,7 +138,7 @@ type Store struct {
 	mu    sync.Mutex
 	etags map[string]string // guarded by mu; object key -> ETag recorded at first read
 
-	cache *byteCache
+	cache *lru.Cache[cacheKey]
 
 	coldFetches atomic.Int64
 	coldBytes   atomic.Int64
@@ -165,14 +166,8 @@ func New(opts Options) (*Store, error) {
 		opts.Region = "us-east-1"
 	}
 	opts.Prefix = strings.Trim(opts.Prefix, "/")
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = DefaultMaxRetries
-	} else if opts.MaxRetries < 0 {
-		opts.MaxRetries = 0
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = DefaultRetryBackoff
-	}
+	opts.MaxRetries = retry.Budget(opts.MaxRetries)
+	opts.RetryBackoff = retry.FirstDelay(opts.RetryBackoff)
 	if opts.CacheBytes == 0 {
 		opts.CacheBytes = DefaultCacheBytes
 	} else if opts.CacheBytes < 0 {
@@ -188,7 +183,7 @@ func New(opts Options) (*Store, error) {
 		hc:    hc,
 		creds: opts.AccessKey != "",
 		etags: map[string]string{},
-		cache: newByteCache(opts.CacheBytes),
+		cache: lru.New[cacheKey](opts.CacheBytes),
 	}, nil
 }
 
@@ -211,7 +206,16 @@ func (s *Store) FetchStats() storage.FetchStats {
 
 // CacheStats reports the read-through cache counters.
 func (s *Store) CacheStats() (bytes int64, entries int, hits, misses, evictions int64) {
-	return s.cache.stats()
+	st := s.cache.Stats()
+	return st.Bytes, st.Entries, st.Hits, st.Misses, st.Evictions
+}
+
+// cacheKey names one cached read of object obj: the whole object when
+// n = -1, else the n bytes at off. Put drops every key of its object, so
+// a republish can serve neither shape of its predecessor's bytes.
+type cacheKey struct {
+	obj    string
+	off, n int64
 }
 
 // Get implements storage.Store: one full-object GET through the
@@ -220,15 +224,15 @@ func (s *Store) Get(ctx context.Context, key string) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ck := "g\x00" + key
-	if b, ok := s.cache.get(ck); ok {
+	ck := cacheKey{key, 0, -1}
+	if b, ok := s.cache.Get(ck); ok {
 		return b, nil
 	}
 	b, err := s.fetch(ctx, "get", key, -1, -1)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.add(ck, b)
+	s.cache.Add(ck, b)
 	return b, nil
 }
 
@@ -244,21 +248,21 @@ func (s *Store) GetRange(ctx context.Context, key string, off, length int64) ([]
 	if length == 0 {
 		return []byte{}, nil
 	}
-	ck := "r\x00" + key + "\x00" + strconv.FormatInt(off, 10) + "\x00" + strconv.FormatInt(length, 10)
-	if b, ok := s.cache.get(ck); ok {
+	ck := cacheKey{key, off, length}
+	if b, ok := s.cache.Get(ck); ok {
 		return b, nil
 	}
 	// A cached full object covers every range of itself: slice instead of
 	// re-fetching bytes already resident (objects are immutable once read —
 	// the ETag pin guarantees it — so the shared backing array is safe).
-	if full, ok := s.cache.get("g\x00" + key); ok && off+length <= int64(len(full)) {
+	if full, ok := s.cache.Get(cacheKey{key, 0, -1}); ok && off+length <= int64(len(full)) {
 		return full[off : off+length], nil
 	}
 	b, err := s.fetch(ctx, "range", key, off, length)
 	if err != nil {
 		return nil, err
 	}
-	s.cache.add(ck, b)
+	s.cache.Add(ck, b)
 	return b, nil
 }
 
@@ -488,7 +492,7 @@ func (s *Store) Put(ctx context.Context, key string, val []byte) error {
 	if err != nil {
 		return err
 	}
-	s.cache.drop("g\x00"+key, "r\x00"+key+"\x00")
+	s.cache.RemoveIf(func(k cacheKey) bool { return k.obj == key })
 	return nil
 }
 
@@ -504,25 +508,18 @@ func (s *Store) sign(req *http.Request, payloadHash string) {
 // policy: transient faults (network errors, 5xx, truncation) back off
 // and retry up to MaxRetries; typed permanent failures surface at once.
 func (s *Store) retrying(ctx context.Context, op, key string, attempt func(context.Context) ([]byte, error)) ([]byte, error) {
-	backoff := s.opts.RetryBackoff
-	var err error
+	bo := retry.NewBackoff(s.opts.RetryBackoff)
 	for try := 0; ; try++ {
-		var b []byte
-		b, err = attempt(ctx)
+		b, err := attempt(ctx)
 		if err == nil {
 			return b, nil
 		}
 		if !retryable(err) || try >= s.opts.MaxRetries {
 			return nil, err
 		}
-		t := time.NewTimer(backoff)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, fmt.Errorf("objstore: %s %q: %w (last error: %v)", op, key, ctx.Err(), err)
-		case <-t.C:
+		if werr := bo.Wait(ctx, 0); werr != nil {
+			return nil, fmt.Errorf("objstore: %s %q: %w (last error: %v)", op, key, werr, err)
 		}
-		backoff *= 2
 	}
 }
 
