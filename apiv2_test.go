@@ -64,7 +64,7 @@ func TestDoMixedTargetsLocalAndRemote(t *testing.T) {
 
 	local := run(arch)
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestDoCancelRemoteMidIteration(t *testing.T) {
 
 	br := newBatchRecorder()
 	st := newMemArchiveServer(t, arch, "ge", br.middleware)
-	rarch, err := OpenRemote(context.Background(), st.URL, "ge")
+	rarch, err := Open(context.Background(), st.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestDoProgressStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,64 +474,10 @@ func TestErrBadRequest(t *testing.T) {
 				{QoI: vtot, Tolerance: 1e-3, Region: Region{Lo: 0, Hi: 501}}}})
 			return err
 		},
-		"legacy Retrieve length mismatch": func() error {
-			_, err := sess.Retrieve([]QoI{vtot}, []float64{1, 2})
-			return err
-		},
-		"legacy RetrieveRegions length mismatch": func() error {
-			_, err := sess.RetrieveRegions([]QoI{vtot}, []float64{1}, []Region{{}, {}})
-			return err
-		},
-		"legacy RetrieveRelative length mismatch": func() error {
-			_, err := sess.RetrieveRelative([]QoI{vtot}, []float64{1e-3, 1}, []float64{1})
-			return err
-		},
 	}
 	for name, fn := range cases {
 		if err := fn(); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: want ErrBadRequest, got %v", name, err)
 		}
-	}
-
-	// The pre-v2 contract accepted nil regions as "whole domain"; the
-	// deprecated wrapper must keep doing so.
-	if res, err := sess.RetrieveRegions([]QoI{vtot}, []float64{1e-2}, nil); err != nil || !res.ToleranceMet {
-		t.Errorf("RetrieveRegions with nil regions regressed: %v", err)
-	}
-}
-
-// TestLegacyWrappersMatchDo pins the compatibility contract: the deprecated
-// Retrieve* methods are exactly Do under the equivalent targets.
-func TestLegacyWrappersMatchDo(t *testing.T) {
-	names, fields, dims := demoFields(1500)
-	vtot := TotalVelocity(0, 1, 2)
-	ranges := QoIRanges([]QoI{vtot}, fields)
-
-	open := func() *Session {
-		t.Helper()
-		arch, err := Refactor(names, fields, dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := arch.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-
-	oldRes, err := open().RetrieveRelative([]QoI{vtot}, []float64{1e-4}, ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := open().Do(context.Background(), Request{Targets: []Target{
-		{QoI: vtot, Tolerance: 1e-4, Relative: true, Range: ranges[0]},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes.RetrievedBytes != newRes.RetrievedBytes || oldRes.EstErrors[0] != newRes.EstErrors[0] {
-		t.Fatalf("legacy RetrieveRelative diverged from Do: %d/%g vs %d/%g",
-			oldRes.RetrievedBytes, oldRes.EstErrors[0], newRes.RetrievedBytes, newRes.EstErrors[0])
 	}
 }

@@ -18,7 +18,7 @@
 // Credentials travel only through the PROGQOI_S3_* environment, never
 // argv. A malformed store URL, missing bucket, denied access or
 // unreachable endpoint fails startup with a clean diagnostic before the
-// listener binds. -dir remains as a legacy alias for -store DIR.
+// listener binds.
 //
 // A static cluster is several progqoid nodes serving the same store;
 // each node is told the full topology so clients can discover it from
@@ -146,13 +146,13 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
-// resolveDaemonStore maps a -store reference (or legacy -dir path) onto a
-// live storage.Store: s3://bucket[/prefix], file://dir, or a bare
-// directory path. The object-store endpoint and region come from the
-// flags when set, the PROGQOI_S3_* environment otherwise; credentials are
-// environment-only — secrets on a command line leak through process
-// listings. Malformed references fail with errors wrapping
-// objstore.ErrBadStoreURL before any listener binds.
+// resolveDaemonStore maps a -store reference onto a live storage.Store:
+// s3://bucket[/prefix], file://dir, or a bare directory path. The
+// object-store endpoint and region come from the flags when set, the
+// PROGQOI_S3_* environment otherwise; credentials are environment-only —
+// secrets on a command line leak through process listings. Malformed
+// references fail with errors wrapping objstore.ErrBadStoreURL before any
+// listener binds.
 func resolveDaemonStore(ref, endpoint, region string) (storage.Store, error) {
 	opt := objstore.EnvOptions()
 	if endpoint != "" {
@@ -218,7 +218,6 @@ func withPprof(next http.Handler, token string) http.Handler {
 func run(args []string) error {
 	fs := flag.NewFlagSet("progqoid", flag.ContinueOnError)
 	addr := fs.String("addr", ":9123", "listen address")
-	dir := fs.String("dir", "", "archive directory to serve (legacy alias for -store DIR)")
 	store := fs.String("store", "", "archive store to serve: s3://bucket[/prefix], file://dir, or a directory path")
 	storeEndpoint := fs.String("store-endpoint", "", "object-store base URL for s3:// stores (overrides "+objstore.EnvEndpoint+"); credentials come from "+objstore.EnvAccessKey+"/"+objstore.EnvSecretKey)
 	storeRegion := fs.String("store-region", "", "object-store signing region for s3:// stores (overrides "+objstore.EnvRegion+")")
@@ -244,13 +243,7 @@ func run(args []string) error {
 		}
 		return err
 	}
-	storeRef := *store
-	switch {
-	case *dir != "" && *store != "":
-		return fmt.Errorf("-dir and -store are mutually exclusive (use -store)")
-	case *dir != "":
-		storeRef = *dir
-	case *store == "":
+	if *store == "" {
 		return fmt.Errorf("-store is required (s3://bucket[/prefix], file://dir, or a directory path)")
 	}
 	lg, err := newLogger(*logFormat, *logLevel)
@@ -292,7 +285,7 @@ func run(args []string) error {
 			return fmt.Errorf("-tenants: %w", err)
 		}
 	}
-	st, err := resolveDaemonStore(storeRef, *storeEndpoint, *storeRegion)
+	st, err := resolveDaemonStore(*store, *storeEndpoint, *storeRegion)
 	if err != nil {
 		return err
 	}
@@ -318,16 +311,16 @@ func run(args []string) error {
 	}
 	srv, err := server.New(context.Background(), st, opts)
 	if err != nil {
-		return fmt.Errorf("store %s: %w", storeRef, err)
+		return fmt.Errorf("store %s: %w", *store, err)
 	}
 	names := srv.Datasets()
 	if len(names) == 0 {
-		lg.Warn("no datasets (no *.manifest keys)", slog.String("store", storeRef))
+		lg.Warn("no datasets (no *.manifest keys)", slog.String("store", *store))
 	}
 	lg.Info("serving",
 		slog.Int("datasets", len(names)),
 		slog.Any("names", names),
-		slog.String("store", storeRef),
+		slog.String("store", *store),
 		slog.String("addr", *addr),
 		slog.Int("limit", *limit),
 		slog.Int("peers", len(peerURLs)),

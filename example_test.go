@@ -47,7 +47,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sess.Retrieve([]progqoi.QoI{vtot}, []float64{1e-3})
+	res, err := sess.Do(context.Background(), progqoi.Request{Targets: []progqoi.Target{{QoI: vtot, Tolerance: 1e-3}}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -216,9 +216,9 @@ func Example_streamingIngest() {
 	// store byte-identical to Refactor+WriteArchive: true
 }
 
-// ExampleSession_Retrieve shows incremental tightening: the second request
-// reuses every byte the first one fetched.
-func ExampleSession_Retrieve() {
+// ExampleSession_Do_tightening shows incremental tightening: the second
+// request reuses every byte the first one fetched.
+func ExampleSession_Do_tightening() {
 	names, fields := demo3Fields(2048)
 	arch, err := progqoi.Refactor(names, fields, []int{2048})
 	if err != nil {
@@ -229,11 +229,11 @@ func ExampleSession_Retrieve() {
 		log.Fatal(err)
 	}
 	vtot := progqoi.TotalVelocity(0, 1, 2)
-	r1, err := sess.Retrieve([]progqoi.QoI{vtot}, []float64{1e-1})
+	r1, err := sess.Do(context.Background(), progqoi.Request{Targets: []progqoi.Target{{QoI: vtot, Tolerance: 1e-1}}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	r2, err := sess.Retrieve([]progqoi.QoI{vtot}, []float64{1e-8})
+	r2, err := sess.Do(context.Background(), progqoi.Request{Targets: []progqoi.Target{{QoI: vtot, Tolerance: 1e-8}}})
 	if err != nil {
 		log.Fatal(err)
 	}

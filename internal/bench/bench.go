@@ -330,7 +330,7 @@ func RunAgainst(ctx context.Context, sc Scenario, cl *Cluster) (*Summary, error)
 				rec := recs[ti]
 				// Each session is an independent user: its own client,
 				// cache disabled so every Do pays the wire.
-				arch, err := progqoi.OpenRemote(ctx, endpoints[0], sc.Dataset,
+				arch, err := progqoi.Open(ctx, endpoints[0]+"/"+sc.Dataset,
 					progqoi.WithEndpoints(endpoints[1:]...),
 					progqoi.WithToken(tl.Tenant.Token),
 					progqoi.WithCache(-1))

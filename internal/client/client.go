@@ -127,8 +127,9 @@ type Stats struct {
 	// WireBytes is fragment payload bytes fetched over HTTP — the same
 	// unit as a session's RetrievedBytes and netsim's recorder, so the
 	// three are directly comparable. Cache hits and coalesced waits
-	// contribute nothing. Transport-level gzip savings are not deducted:
-	// this counts payloads, not socket bytes.
+	// contribute nothing. Fragment batches travel uncompressed, so the
+	// socket carries these bytes plus the PQFRAG1 framing (12 bytes and
+	// the variable name per fragment, 16 per batch).
 	WireBytes int64
 	// WireRequests counts HTTP requests issued, including retries.
 	WireRequests int64
@@ -350,18 +351,6 @@ func (e *HTTPError) Is(target error) bool {
 	return false
 }
 
-// do issues one request with bounded retry/backoff and replica failover.
-// Transport errors, truncated bodies, and 5xx responses fail over to the
-// next endpoint and retry; other non-200 statuses fail immediately with
-// *HTTPError. Non-fragment routes hash by path, so metadata traffic also
-// spreads over the cluster deterministically — and may spill to every
-// endpoint of the current view, not just a replica set. ctx cancels the
-// in-flight request and any backoff wait: once ctx is done no further
-// attempts are made and the context's error is returned.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, contentType string) ([]byte, error) {
-	return c.doKeyed(ctx, path, false, method, path, body, contentType)
-}
-
 // Health fetches the service's /healthz stats.
 func (c *Client) Health(ctx context.Context) (*server.Stats, error) {
 	b, err := c.do(ctx, "GET", "/healthz", nil, "")
@@ -432,43 +421,6 @@ func indexFragSize(idx *server.Index, vr string, fi int) int64 {
 type fragKey struct {
 	dataset, vr string
 	fi          int
-}
-
-// Fragment fetches a single fragment through the cache via the
-// single-fragment GET endpoint, routed to the fragment's shard.
-func (c *Client) Fragment(ctx context.Context, dataset, vr string, fi int) ([]byte, error) {
-	key := fragKey{dataset, vr, fi}
-	if v, ok := c.cache.Get(key); ok {
-		return v, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The fetch span's Bytes mirrors the wireBytes increment below exactly,
-	// so a trace's summed fetch bytes reconcile with Stats.WireBytes. The
-	// mark is zero (and free) when the context carries no trace.
-	var mf obs.SpanMark
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		mf = tr.Begin(obs.CatFetch, "frag "+vr+"/"+strconv.Itoa(fi))
-	}
-	path := "/v1/d/" + dataset + "/frag/" + vr + "/" + strconv.Itoa(fi)
-	b, err := c.doKeyed(ctx, shardKey(vr, fi), true, "GET", path, nil, "")
-	if err != nil {
-		mf.End()
-		return nil, err
-	}
-	if idx, ierr := c.Index(ctx, dataset); ierr == nil {
-		if want := indexFragSize(idx, vr, fi); want >= 0 && int64(len(b)) != want {
-			mf.End()
-			return nil, fmt.Errorf("%w: fragment %s/%s/%d is %d bytes, index says %d",
-				encoding.ErrCorrupt, dataset, vr, fi, len(b), want)
-		}
-	}
-	c.wireBytes.Add(int64(len(b)))
-	mf.EndBytes(int64(len(b)))
-	c.fragsFetched.Add(1)
-	c.cache.Add(key, b)
-	return b, nil
 }
 
 // Fragments fetches a set of fragments in at most one HTTP round trip per
@@ -548,7 +500,7 @@ func (c *Client) FragmentsWorkers(ctx context.Context, dataset string, wants map
 		for _, p := range owned {
 			byVar[p.vr] = append(byVar[p.vr], p.fi)
 		}
-		got, ferr := c.fetchShards(ctx, dataset, byVar, workers)
+		got, ferr := c.fetchShards(ctx, dataset, idx, byVar, workers)
 		if ferr == nil {
 			for _, p := range owned {
 				payload, ok := got[p.key]

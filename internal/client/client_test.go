@@ -66,13 +66,19 @@ func fastOptions() Options {
 	return Options{MaxRetries: 3, RetryBackoff: time.Millisecond}
 }
 
+// fragment fetches one fragment through the batched route.
+func fragment(c *Client, vr string, fi int) ([]byte, error) {
+	got, err := c.Fragments(context.Background(), "ge", map[string][]int{vr: {fi}})
+	return got[vr][fi], err
+}
+
 func TestRetryOn5xxThenSuccess(t *testing.T) {
 	var failures atomic.Int64
 	failures.Store(2)
 	var attempts atomic.Int64
 	hs, vars := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.Contains(r.URL.Path, "/frag/") {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
 				if failures.Add(-1) >= 0 {
 					http.Error(w, "transient", http.StatusServiceUnavailable)
@@ -86,7 +92,7 @@ func TestRetryOn5xxThenSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frag, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0)
+	frag, err := fragment(c, vars[0].Name, 0)
 	if err != nil {
 		t.Fatalf("fragment after transient 5xx: %v", err)
 	}
@@ -102,7 +108,7 @@ func TestRetryExhaustion(t *testing.T) {
 	var attempts atomic.Int64
 	hs, vars := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.Contains(r.URL.Path, "/frag/") {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
 				http.Error(w, "down", http.StatusInternalServerError)
 				return
@@ -114,7 +120,7 @@ func TestRetryExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0); err == nil {
+	if _, err := fragment(c, vars[0].Name, 0); err == nil {
 		t.Fatal("persistent 5xx did not fail")
 	} else if !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("error %v does not report retry exhaustion", err)
@@ -130,8 +136,11 @@ func TestNoRetryOn404(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c.Index(context.Background(), "ge"); err != nil {
+		t.Fatal(err)
+	}
 	before := c.Stats().WireRequests
-	_, err = c.Fragment(context.Background(), "ge", "NoSuchVar", 0)
+	_, err = fragment(c, "NoSuchVar", 0)
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != 404 {
 		t.Fatalf("want HTTPError 404, got %v", err)
@@ -145,7 +154,7 @@ func TestTruncatedBodyRetriesThenFails(t *testing.T) {
 	var attempts atomic.Int64
 	hs, vars := testService(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.Contains(r.URL.Path, "/frag/") {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
 				attempts.Add(1)
 				// Promise more bytes than we send: the client sees an
 				// unexpected EOF mid-body.
@@ -160,7 +169,7 @@ func TestTruncatedBodyRetriesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0); err == nil {
+	if _, err := fragment(c, vars[0].Name, 0); err == nil {
 		t.Fatal("truncated body did not fail")
 	}
 	if got := attempts.Load(); got != 4 {
@@ -218,6 +227,44 @@ func TestShortFragmentAgainstIndexDetected(t *testing.T) {
 	}
 }
 
+func TestOversizedBatchRejected(t *testing.T) {
+	vars := testVars(t)
+	var posts atomic.Int64
+	hs := serviceFor(t, vars, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/frags") {
+				posts.Add(1)
+				// A valid frame holding the requested fragment plus about
+				// 8 MiB nobody asked for: only the size bound catches it.
+				frags := []server.BatchFragment{{Var: vars[0].Name, Index: 0, Payload: vars[0].Ref.Fragments[0]}}
+				junk := make([]byte, 1<<20)
+				for i := 0; i < 8; i++ {
+					frags = append(frags, server.BatchFragment{Var: vars[1].Name, Index: i, Payload: junk})
+				}
+				blob := server.EncodeBatch(frags)
+				w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+				w.Write(blob) //nolint:errcheck
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	c, err := New(hs.URL, fastOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fragment(c, vars[0].Name, 0)
+	if !errors.Is(err, encoding.ErrCorrupt) {
+		t.Fatalf("want ErrCorrupt for an oversized batch, got %v", err)
+	}
+	if got := posts.Load(); got != 1 {
+		t.Fatalf("%d batch requests, want 1 (oversize is not retried)", got)
+	}
+	if st := c.Stats(); st.CacheEntries != 0 || st.WireBytes != 0 {
+		t.Fatalf("oversized batch reached the cache: %+v", st)
+	}
+}
+
 func TestCacheEvictionUnderBytePressure(t *testing.T) {
 	hs, vars := testService(t, nil)
 	sizes := make([]int64, 4)
@@ -231,7 +278,7 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, i); err != nil {
+		if _, err := fragment(c, vars[0].Name, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +291,7 @@ func TestCacheEvictionUnderBytePressure(t *testing.T) {
 	}
 	// Fragment 0 was evicted long ago: re-fetching it pays the wire again.
 	wire := c.Stats().WireBytes
-	if _, err := c.Fragment(context.Background(), "ge", vars[0].Name, 0); err != nil {
+	if _, err := fragment(c, vars[0].Name, 0); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().WireBytes == wire {
@@ -438,38 +485,6 @@ func TestConcurrentSessionsShareWire(t *testing.T) {
 	}
 	if st.CacheHits+st.Coalesced == 0 {
 		t.Fatal("no sharing observed across concurrent sessions")
-	}
-}
-
-func TestRemoteStore(t *testing.T) {
-	ctx := context.Background()
-	hs, vars := testService(t, nil)
-	c, err := New(hs.URL, fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := c.Store()
-	keys, err := rs.Keys(ctx)
-	if err != nil || len(keys) == 0 {
-		t.Fatalf("keys: %v %v", keys, err)
-	}
-	got, err := storage.ReadArchive(context.Background(), rs, "ge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(vars) {
-		t.Fatalf("%d variables, want %d", len(got), len(vars))
-	}
-	for i := range got {
-		if got[i].Name != vars[i].Name || got[i].Ref.TotalBytes() != vars[i].Ref.TotalBytes() {
-			t.Fatalf("variable %d differs after remote ReadArchive", i)
-		}
-	}
-	if _, err := rs.Get(ctx, "no-such-key"); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("missing key: %v", err)
-	}
-	if err := rs.Put(ctx, "k", []byte("v")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("put on read-only store: %v", err)
 	}
 }
 

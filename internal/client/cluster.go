@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"progqoi/internal/encoding"
 	"progqoi/internal/obs"
 	"progqoi/internal/retry"
 	"progqoi/internal/server"
@@ -250,8 +251,10 @@ func parseRetryAfter(v string) time.Duration {
 // 5xx, 429) may fail over; of those, only genuine health failures feed
 // the breaker — a 429 proves the node alive and merely throttling this
 // tenant. retryAfter carries the server's Retry-After hint on throttled
-// and shed responses so pass-level backoff can honor it.
-func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string, body []byte, contentType string) (data []byte, err error, retryable bool, retryAfter time.Duration) {
+// and shed responses so pass-level backoff can honor it. A limit >= 0
+// bounds a 200 body: a longer one is encoding.ErrCorrupt, not retried,
+// and is never read past limit+1 bytes.
+func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string, body []byte, contentType string, limit int64) (data []byte, err error, retryable bool, retryAfter time.Duration) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -296,7 +299,11 @@ func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string,
 		ep.report(false, c.opts.BreakerCooldown)
 		return nil, fmt.Errorf("client: %s %s via %s: %w", method, path, ep.base, err), true, 0
 	}
-	data, rerr := io.ReadAll(resp.Body)
+	src := io.Reader(resp.Body)
+	if limit >= 0 && resp.StatusCode == http.StatusOK {
+		src = io.LimitReader(resp.Body, limit+1)
+	}
+	data, rerr := io.ReadAll(src)
 	nread = int64(len(data))
 	resp.Body.Close() //nolint:errcheck
 	switch {
@@ -319,6 +326,12 @@ func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string,
 	case resp.StatusCode != http.StatusOK:
 		ep.report(true, 0)
 		return nil, fmt.Errorf("client: %s %s: %w", method, path, &HTTPError{Status: resp.StatusCode, Msg: string(data)}), false, 0
+	case limit >= 0 && nread > limit:
+		// The node answered, so it is alive; what it sent is not what was
+		// asked for. Another replica would not make this node's bytes right.
+		ep.report(true, 0)
+		return nil, fmt.Errorf("%w: %s %s via %s: response exceeds the %d bytes the request implies",
+			encoding.ErrCorrupt, method, path, ep.base, limit), false, 0
 	case rerr != nil:
 		if ctx.Err() != nil {
 			ep.abortProbe()
@@ -332,21 +345,23 @@ func (c *Client) attempt(ctx context.Context, ep *endpoint, method, path string,
 	return data, nil, false, 0
 }
 
-// doKeyed issues one request routed by rendezvous key in three sweeps
-// per pass: replicas (the first repl candidates) with willing breakers,
-// then any endpoint with a willing breaker (healthy spill), and only
-// then breaker-open nodes as a last resort — so a shard whose whole
-// replica set is dead reaches a healthy non-replica without first eating
-// a doomed dial timeout per open circuit. The candidate order is
-// re-resolved from the current topology view at the start of every pass
-// (and, in elastic mode, a fully failed pass forces a view refresh
-// first), so a retry after a membership change routes against the
-// cluster as it is, not as it was. replicaSet restricts the first sweep
-// to the view's replica set; metadata routes pass false and may use the
-// whole view. Failing over to the next candidate is immediate;
-// exponential backoff applies only between full passes, and MaxRetries
-// bounds the extra passes exactly as it bounded single-endpoint retries.
-func (c *Client) doKeyed(ctx context.Context, key string, replicaSet bool, method, path string, body []byte, contentType string) ([]byte, error) {
+// do issues one non-fragment request with bounded retry/backoff and
+// failover. It routes by rendezvous on the path, so metadata traffic also
+// spreads over the cluster deterministically, and may use every endpoint
+// of the current view. Each pass tries the endpoints with willing
+// breakers first and breaker-open nodes only as a last resort, so a
+// healthy node is reached without first eating a doomed dial timeout per
+// open circuit. The candidate order is re-resolved from the current
+// topology view at the start of every pass (and, in elastic mode, a fully
+// failed pass forces a view refresh first), so a retry after a membership
+// change routes against the cluster as it is, not as it was. Transport
+// errors, truncated bodies, 5xx and 429 responses fail over to the next
+// candidate immediately; other non-200 statuses fail at once with
+// *HTTPError. Exponential backoff applies only between full passes, and
+// MaxRetries bounds the extra passes. ctx cancels the in-flight request
+// and any backoff wait: once ctx is done no further attempts are made and
+// the context's error is returned.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, contentType string) ([]byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -367,27 +382,16 @@ func (c *Client) doKeyed(ctx context.Context, key string, replicaSet bool, metho
 			c.refreshAfterFailedPass(ctx)
 		}
 		retryAfter = 0
-		v := c.view()
-		order := rankEndpoints(v.eps, key)
-		repl := len(order)
-		if replicaSet && v.repl < repl {
-			repl = v.repl
-		}
+		order := c.candidates(path)
 		tried := map[*endpoint]bool{}
-		for sweep := 0; sweep < 3; sweep++ {
+		for sweep := 0; sweep < 2; sweep++ {
 			for i, ep := range order {
-				if tried[ep] {
-					continue
-				}
-				if sweep == 0 && i >= repl {
-					continue
-				}
-				if sweep < 2 && !ep.admit(time.Now()) {
+				if tried[ep] || (sweep == 0 && !ep.admit(time.Now())) {
 					continue
 				}
 				tried[ep] = true
 				attempts++
-				data, err, retryable, ra := c.attempt(ctx, ep, method, path, body, contentType)
+				data, err, retryable, ra := c.attempt(ctx, ep, method, path, body, contentType, -1)
 				if err == nil {
 					if i > 0 {
 						c.failovers.Add(1)
@@ -422,10 +426,25 @@ func (c *Client) ClusterInfo(ctx context.Context) (*server.ClusterInfo, error) {
 	return &info, nil
 }
 
-// shardItem is one fragment routed through the sharded batch fetch.
+// shardItem is one fragment routed through the sharded batch fetch, with
+// its index-declared size (0 when the index does not know it; the server
+// answers such a request 404).
 type shardItem struct {
-	vr string
-	fi int
+	vr   string
+	fi   int
+	size int64
+}
+
+// batchFrameBytes is the exact PQFRAG1 response size for items: magic,
+// count and CRC (16 bytes), then per fragment two u32 section lengths, the
+// u32 index, the variable name and the payload. The server dedups, and
+// callers never send a duplicate, so a longer response is corrupt.
+func batchFrameBytes(items []shardItem) int64 {
+	n := int64(16)
+	for _, it := range items {
+		n += 12 + int64(len(it.vr)) + it.size
+	}
+	return n
 }
 
 // fetchShards fetches the given fragments from the cluster: each fragment
@@ -441,13 +460,15 @@ type shardItem struct {
 // A fragment served by an endpoint other than its current pass's primary
 // counts one failover; each fragment is fetched successfully exactly
 // once, so Failovers can never double-count a fragment across passes or
-// view swaps. The result maps fragKey to payload (payloads alias the
-// response blobs; callers clone before caching).
-func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[string][]int, workers int) (map[fragKey][]byte, error) {
+// view swaps. Each sub-batch reads at most the exact frame size its
+// fragments' index sizes imply (batchFrameBytes). The result maps
+// fragKey to payload (payloads alias the response blobs; callers clone
+// before caching).
+func (c *Client) fetchShards(ctx context.Context, dataset string, idx *server.Index, wants map[string][]int, workers int) (map[fragKey][]byte, error) {
 	var items []shardItem
 	for _, vr := range sortedKeys(wants) {
 		for _, fi := range wants[vr] {
-			items = append(items, shardItem{vr: vr, fi: fi})
+			items = append(items, shardItem{vr: vr, fi: fi, size: max(indexFragSize(idx, vr, fi), 0)})
 		}
 	}
 	if workers <= 0 {
@@ -551,7 +572,7 @@ func (c *Client) fetchShards(ctx context.Context, dataset string, wants map[stri
 					req.Wants = append(req.Wants, server.BatchWant{Var: vr, Indices: byVar[vr]})
 				}
 				body, _ := json.Marshal(req)
-				blob, err, retryable, ra := c.attempt(ctx, ep, "POST", "/v1/d/"+dataset+"/frags", body, "application/json")
+				blob, err, retryable, ra := c.attempt(ctx, ep, "POST", "/v1/d/"+dataset+"/frags", body, "application/json", batchFrameBytes(as.items))
 				res := groupResult{ep: ep, as: as, err: err, retryable: retryable, retryAfter: ra}
 				if err == nil {
 					res.frags, res.err = server.DecodeBatch(blob)

@@ -19,7 +19,6 @@ import (
 type clusterNode struct {
 	hs         *httptest.Server
 	batchPosts atomic.Int64
-	fragGets   atomic.Int64
 	fail       atomic.Bool // 500 every data request while set
 }
 
@@ -38,13 +37,10 @@ func testCluster(t *testing.T, vars []*core.Variable, n int) []*clusterNode {
 		}
 		node := &clusterNode{}
 		node.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			switch {
-			case strings.Contains(r.URL.Path, "/frags"):
+			if strings.HasSuffix(r.URL.Path, "/frags") {
 				node.batchPosts.Add(1)
-			case strings.Contains(r.URL.Path, "/frag/"):
-				node.fragGets.Add(1)
 			}
-			if node.fail.Load() && strings.Contains(r.URL.Path, "/frag") {
+			if node.fail.Load() && strings.HasSuffix(r.URL.Path, "/frags") {
 				http.Error(w, "induced failure", http.StatusInternalServerError)
 				return
 			}
@@ -390,15 +386,13 @@ func TestSpillPrefersHealthyNodeOverOpenReplicas(t *testing.T) {
 		ep.openUntil = time.Now().Add(time.Hour)
 		ep.mu.Unlock()
 	}
-	before0, before1 := nodes[0].batchPosts.Load()+nodes[0].fragGets.Load(),
-		nodes[1].batchPosts.Load()+nodes[1].fragGets.Load()
+	before0, before1 := nodes[0].batchPosts.Load(), nodes[1].batchPosts.Load()
 	got, err := c.Fragments(context.Background(), "ge", allWants(vars))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPayloads(t, vars, got)
-	after0, after1 := nodes[0].batchPosts.Load()+nodes[0].fragGets.Load(),
-		nodes[1].batchPosts.Load()+nodes[1].fragGets.Load()
+	after0, after1 := nodes[0].batchPosts.Load(), nodes[1].batchPosts.Load()
 	if after0 != before0 || after1 != before1 {
 		t.Fatalf("breaker-open nodes were dialed despite a healthy spill target: %d/%d new requests",
 			after0-before0, after1-before1)

@@ -2,8 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -12,61 +10,11 @@ import (
 	"progqoi/internal/obs"
 	"progqoi/internal/progressive"
 	"progqoi/internal/server"
-	"progqoi/internal/storage"
 )
 
 // readAheadTimeout bounds one background read-ahead fetch; nothing waits on
 // it, so a stuck speculative request must time itself out.
 const readAheadTimeout = 2 * time.Minute
-
-// ErrReadOnly reports a write against the remote store, which the fragment
-// service does not accept: archives are immutable once refactored.
-var ErrReadOnly = errors.New("client: remote store is read-only")
-
-// RemoteStore adapts the service's raw store passthrough to storage.Store,
-// so generic archive code (storage.ReadArchive and friends) runs unchanged
-// over the wire. Reads go through the client's retry policy; writes return
-// ErrReadOnly.
-type RemoteStore struct{ c *Client }
-
-// Store returns the service's raw blob store view.
-func (c *Client) Store() *RemoteStore { return &RemoteStore{c: c} }
-
-// Put implements storage.Store; it always fails with ErrReadOnly.
-func (s *RemoteStore) Put(ctx context.Context, key string, val []byte) error {
-	return fmt.Errorf("%w (key %q)", ErrReadOnly, key)
-}
-
-// Get implements storage.Store. A nil ctx defaults to Background.
-func (s *RemoteStore) Get(ctx context.Context, key string) ([]byte, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	b, err := s.c.do(ctx, "GET", "/v1/store/blob/"+key, nil, "")
-	var he *HTTPError
-	if errors.As(err, &he) && he.Status == 404 {
-		return nil, fmt.Errorf("%w: %q", storage.ErrNotFound, key)
-	}
-	return b, err
-}
-
-// Keys implements storage.Store. A nil ctx defaults to Background.
-func (s *RemoteStore) Keys(ctx context.Context) ([]string, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	b, err := s.c.do(ctx, "GET", "/v1/store/keys", nil, "")
-	if err != nil {
-		return nil, err
-	}
-	var out struct {
-		Keys []string `json:"keys"`
-	}
-	if err := json.Unmarshal(b, &out); err != nil {
-		return nil, fmt.Errorf("client: store keys: %w", err)
-	}
-	return out.Keys, nil
-}
 
 // Remote is an opened remote dataset: the retrieval metadata of every
 // variable (prefix bounds, schedules, zero masks, ranges) held locally,

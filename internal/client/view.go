@@ -165,7 +165,7 @@ func (c *Client) RefreshTopology(ctx context.Context) (bool, error) {
 	}
 	var lastErr error
 	for _, ep := range rankEndpoints(c.view().eps, "/v1/cluster") {
-		data, err, _, _ := c.attempt(ctx, ep, "GET", "/v1/cluster", nil, "")
+		data, err, _, _ := c.attempt(ctx, ep, "GET", "/v1/cluster", nil, "", -1)
 		if err != nil {
 			if ctx.Err() != nil {
 				return false, err

@@ -663,7 +663,7 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 			slog.String("member", a.Addr), slog.Int64("generation", a.Generation))
 	}
 	b, _ := json.Marshal(s.memb.info(s.opts.Peers))
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }
 
 // handleClusterHeartbeat refreshes a member's liveness. An unknown
@@ -685,7 +685,7 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 	}
 	s.memb.heartbeats.Add(1)
 	b, _ := json.Marshal(s.memb.info(s.opts.Peers))
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }
 
 // handleClusterLeave removes a member cleanly. Idempotent; 409 only when
@@ -705,7 +705,7 @@ func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
 		s.opts.Log.Info("cluster leave", slog.String("member", a.Addr))
 	}
 	b, _ := json.Marshal(s.memb.info(s.opts.Peers))
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }
 
 // handleClusterDrain starts a graceful drain, gated exactly like reload:
@@ -722,5 +722,5 @@ func (s *Server) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	s.Drain()
 	b, _ := json.Marshal(s.memb.info(s.opts.Peers))
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }

@@ -228,11 +228,7 @@ func TestClusterDrainHandler(t *testing.T) {
 			}
 		}
 		// ...but in-flight fragment work keeps being served.
-		fresp, err := http.Get(hs.URL + "/v1/d/ge/frag/" + vars[0].Name + "/0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresp.Body.Close()
+		fresp, _ := postFrag(t, hs.URL, "", "ge", vars[0].Name, 0)
 		if fresp.StatusCode != 200 {
 			t.Fatalf("fragment read while draining: status %d, want 200", fresp.StatusCode)
 		}

@@ -214,7 +214,7 @@ func TestReloadKeepsUnchangedDatasetsWarm(t *testing.T) {
 
 	// Warm fragment 0: one miss, then a hit.
 	for i := 0; i < 2; i++ {
-		if resp, _ := get(t, hs.URL+"/v1/d/stable/frag/VelocityX/0"); resp.StatusCode != http.StatusOK {
+		if resp, _ := postFrag(t, hs.URL, "", "stable", "VelocityX", 0); resp.StatusCode != http.StatusOK {
 			t.Fatalf("frag: %s", resp.Status)
 		}
 	}
@@ -224,7 +224,7 @@ func TestReloadKeepsUnchangedDatasetsWarm(t *testing.T) {
 	if resp, _ := postReload(t, hs.URL, "tok"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: %s", resp.Status)
 	}
-	if resp, _ := get(t, hs.URL+"/v1/d/stable/frag/VelocityX/0"); resp.StatusCode != http.StatusOK {
+	if resp, _ := postFrag(t, hs.URL, "", "stable", "VelocityX", 0); resp.StatusCode != http.StatusOK {
 		t.Fatalf("frag after reload: %s", resp.Status)
 	}
 	after := srv.Stats()
@@ -248,11 +248,11 @@ func TestReloadRepublishServesFreshBytes(t *testing.T) {
 	defer hs.Close()
 
 	// Warm the hot cache with the first incarnation's fragment 0.
-	resp, oldFrag := get(t, hs.URL+"/v1/d/ds/frag/VelocityX/0")
+	resp, oldFrag := postFrag(t, hs.URL, "", "ds", "VelocityX", 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("frag: %s", resp.Status)
 	}
-	resp, _ = get(t, hs.URL+"/v1/d/ds/frag/VelocityX/0")
+	resp, _ = postFrag(t, hs.URL, "", "ds", "VelocityX", 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("frag (cached): %s", resp.Status)
 	}
@@ -262,7 +262,7 @@ func TestReloadRepublishServesFreshBytes(t *testing.T) {
 	if resp, _ := postReload(t, hs.URL, "tok"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: %s", resp.Status)
 	}
-	resp, newFrag := get(t, hs.URL+"/v1/d/ds/frag/VelocityX/0")
+	resp, newFrag := postFrag(t, hs.URL, "", "ds", "VelocityX", 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("frag after republish: %s", resp.Status)
 	}

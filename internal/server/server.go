@@ -15,19 +15,19 @@
 //	POST /v1/datasets/reload          hot-publish: re-scan the store (admin-gated)
 //	GET  /v1/d/{ds}/index             dataset index: variables + fragment sizes
 //	GET  /v1/d/{ds}/meta              retrieval metadata blob (binary, CRC)
-//	GET  /v1/d/{ds}/frag/{var}/{idx}  one immutable fragment (ETag, 304)
 //	POST /v1/d/{ds}/frags             batched fragment fetch (binary, CRC)
-//	GET  /v1/store/keys               raw store passthrough: key list
-//	GET  /v1/store/blob/{key}         raw store passthrough: one blob
 //
-// Fragments are immutable once refactored, so single-fragment responses
+// The batched fetch is the only route that serves fragment bytes. Its
+// PQFRAG1 frame is written uncompressed whatever Accept-Encoding says:
+// fragment payloads are already DEFLATEd, so gzip would only win back the
+// frame's few bytes per fragment at a real CPU and allocation cost. Index,
+// meta and the JSON routes gzip when the client accepts it; index and meta
 // carry strong ETags with far-future cache headers and honor
-// If-None-Match. All responses gzip when the client accepts it. A
-// semaphore bounds in-flight requests; the high-water mark is visible in
-// /healthz. Handlers respect the request context: a request cancelled
-// while queued on the semaphore returns 503 without consuming a slot, and
-// a batch abandoned mid-assembly stops with 499 instead of encoding bytes
-// nobody will read.
+// If-None-Match. A semaphore bounds in-flight requests; the high-water
+// mark is visible in /healthz. Handlers respect the request context: a
+// request cancelled while queued on the semaphore returns 503 without
+// consuming a slot, and a batch abandoned mid-assembly stops with 499
+// instead of encoding bytes nobody will read.
 //
 // # Live publishing
 //
@@ -49,12 +49,12 @@
 // # Memory model
 //
 // Startup loads each archive once to build the wire artifacts (index,
-// metadata blob, per-fragment ETags) and the byte offset of every
+// metadata blob, per-fragment integrity tags) and the byte offset of every
 // fragment payload inside its store blob, then drops the payloads.
 // Steady-state fragment reads go through a byte-bounded in-memory
 // hot-fragment LRU (Options.HotCacheBytes) in front of the store; a miss
 // is one ranged store read (storage.RangeReader when the store supports
-// it), re-verified against the fragment's recorded ETag so silent disk
+// it), re-verified against the fragment's recorded tag so silent disk
 // corruption cannot reach the wire. A node therefore serves archives far
 // larger than its RAM, with the hot set pinned.
 package server
@@ -254,7 +254,7 @@ type ClusterInfo struct {
 }
 
 // routeLabels names the per-route request counters in /metrics order.
-var routeLabels = []string{"healthz", "metrics", "cluster", "datasets", "reload", "index", "meta", "frag", "frags", "store"}
+var routeLabels = [...]string{"healthz", "metrics", "cluster", "datasets", "reload", "index", "meta", "frags"}
 
 // Server is an http.Handler serving every archive found in a storage.Store.
 type Server struct {
@@ -301,13 +301,13 @@ type Server struct {
 	reloads        atomic.Int64
 	reloadFailures atomic.Int64
 	datasetsLoaded atomic.Int64
-	routeReqs      [10]atomic.Int64 // indexed like routeLabels
+	routeReqs      [len(routeLabels)]atomic.Int64 // indexed like routeLabels
 
 	// Latency and size distributions, exposed at /metrics as Prometheus
 	// histograms (fixed buckets, stdlib only).
-	routeHist   [10]*obs.Histogram // request latency, indexed like routeLabels
-	fragsReqHB  *obs.Histogram     // frags request body bytes
-	fragsRespHB *obs.Histogram     // frags response bytes (post-compression)
+	routeHist   [len(routeLabels)]*obs.Histogram // request latency, indexed like routeLabels
+	fragsReqHB  *obs.Histogram                   // frags request body bytes
+	fragsRespHB *obs.Histogram                   // frags response bytes
 }
 
 // New scans st for archives (keys ending in ".manifest", as written by
@@ -377,10 +377,7 @@ func New(ctx context.Context, st storage.Store, opt Options) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/datasets/reload", s.counted("reload", s.handleReload))
 	s.mux.HandleFunc("GET /v1/d/{ds}/index", s.counted("index", s.handleIndex))
 	s.mux.HandleFunc("GET /v1/d/{ds}/meta", s.counted("meta", s.handleMeta))
-	s.mux.HandleFunc("GET /v1/d/{ds}/frag/{vr}/{idx}", s.counted("frag", s.handleFragment))
 	s.mux.HandleFunc("POST /v1/d/{ds}/frags", s.counted("frags", s.handleBatch))
-	s.mux.HandleFunc("GET /v1/store/keys", s.counted("store", s.handleStoreKeys))
-	s.mux.HandleFunc("GET /v1/store/blob/{key}", s.counted("store", s.handleStoreBlob))
 	return s, nil
 }
 
@@ -418,7 +415,7 @@ func (s *Server) loadCatalog(ctx context.Context, prev *catalog) (*catalog, erro
 }
 
 // loadDataset loads one archive and precomputes its wire artifacts,
-// dropping fragment payloads once their ETags and byte offsets are
+// dropping fragment payloads once their integrity tags and byte offsets are
 // recorded. The archive is always re-validated in full (startup-equivalent
 // checks); but when its stored bytes fingerprint the same as prev, prev is
 // returned instead of the rebuild, so an unchanged dataset keeps its load
@@ -475,7 +472,7 @@ func (s *Server) loadDataset(ctx context.Context, name string, prev *dataset) (*
 		ds.fragLocs[vi] = locs
 		fingerprint += "/" + etag(raw)
 		// Loading is the only time the whole variable is resident: drop
-		// the payloads now that the index, ETags and offsets are recorded.
+		// the payloads now that the index, tags and offsets are recorded.
 		// Serving pulls them back through the hot cache.
 		for fi := range v.Ref.Fragments {
 			v.Ref.Fragments[fi] = nil
@@ -795,7 +792,7 @@ type hotKey struct {
 }
 
 // fragment returns one fragment payload: hot-cache hit, or a ranged store
-// read verified against the fragment's recorded ETag.
+// read verified against the fragment's recorded integrity tag.
 func (s *Server) fragment(ctx context.Context, ds *dataset, vi, fi int) ([]byte, error) {
 	key := hotKey{ds.gen, vi, fi}
 	if b, ok := s.hot.Get(key); ok {
@@ -845,7 +842,7 @@ func (s *Server) dataset(w http.ResponseWriter, r *http.Request) *dataset {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	b, _ := json.Marshal(s.Stats())
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }
 
 // handleMetrics renders the Prometheus text exposition format (version
@@ -869,8 +866,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	metric("progqoid_inflight_requests", "gauge", "Requests currently holding a concurrency slot.", st.Inflight)
 	metric("progqoid_max_concurrent_requests", "gauge", "High-water mark of concurrent requests.", st.MaxConcurrent)
-	metric("progqoid_fragment_bytes_total", "counter", "Fragment payload bytes served (before transport compression).", st.FragmentBytes)
-	metric("progqoid_fragments_served_total", "counter", "Fragments served across single and batched fetches.", s.fragsServed.Load())
+	metric("progqoid_fragment_bytes_total", "counter", "Fragment payload bytes served.", st.FragmentBytes)
+	metric("progqoid_fragments_served_total", "counter", "Fragments served in batched fetches.", s.fragsServed.Load())
 	metric("progqoid_batch_requests_total", "counter", "Batched fragment POSTs answered.", s.batchReqs.Load())
 	metric("progqoid_batch_fragments_total", "counter", "Fragments shipped inside batched responses (divide by batch_requests for mean batch size).", s.batchFrags.Load())
 	metric("progqoid_hot_cache_bytes", "gauge", "Bytes resident in the hot-fragment cache.", st.HotCacheBytes)
@@ -956,7 +953,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	obs.WriteFamilyHeader(&b, "progqoid_frags_request_bytes", "histogram", "Batched fragment POST request body sizes.")
 	obs.WriteHistogramSeries(&b, "progqoid_frags_request_bytes", "", s.fragsReqHB.Snapshot())
-	obs.WriteFamilyHeader(&b, "progqoid_frags_response_bytes", "histogram", "Batched fragment response sizes as written to the wire (after compression).")
+	obs.WriteFamilyHeader(&b, "progqoid_frags_response_bytes", "histogram", "Batched fragment response sizes as written to the wire.")
 	obs.WriteHistogramSeries(&b, "progqoid_frags_response_bytes", "", s.fragsRespHB.Snapshot())
 
 	// Go runtime gauges, so a scrape sees resource pressure without pprof.
@@ -978,14 +975,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // for one-shot discovery.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	b, _ := json.Marshal(s.memb.info(s.opts.Peers))
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	b, _ := json.Marshal(struct {
 		Datasets []string `json:"datasets"`
 	}{s.cat.Load().names})
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }
 
 // handleReload is the hot-publish entry point: admin-gated by
@@ -1014,7 +1011,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			slog.Any("removed", res.Removed))
 	}
 	b, _ := json.Marshal(res)
-	writeBlob(w, r, b, "", "application/json", false)
+	writeBlob(w, r, b, "", "application/json")
 }
 
 // rejectDraining sheds a session-opening request on a draining node.
@@ -1035,7 +1032,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ds := s.dataset(w, r); ds != nil {
-		writeBlob(w, r, ds.index, ds.indexTag, "application/json", true)
+		writeBlob(w, r, ds.index, ds.indexTag, "application/json")
 	}
 }
 
@@ -1044,33 +1041,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ds := s.dataset(w, r); ds != nil {
-		writeBlob(w, r, ds.meta, ds.metaTag, "application/octet-stream", true)
-	}
-}
-
-func (s *Server) handleFragment(w http.ResponseWriter, r *http.Request) {
-	ds := s.dataset(w, r)
-	if ds == nil {
-		return
-	}
-	vi, ok := ds.varIdx[r.PathValue("vr")]
-	if !ok {
-		http.Error(w, "unknown variable", http.StatusNotFound)
-		return
-	}
-	fi, err := strconv.Atoi(r.PathValue("idx"))
-	if err != nil || fi < 0 || fi >= len(ds.fragLocs[vi]) {
-		http.Error(w, "fragment index out of range", http.StatusNotFound)
-		return
-	}
-	frag, err := s.fragment(r.Context(), ds, vi, fi)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if writeBlob(w, r, frag, ds.fragTags[vi][fi], "application/octet-stream", true) {
-		s.fragBytes.Add(int64(len(frag)))
-		s.fragsServed.Add(1)
+		writeBlob(w, r, ds.meta, ds.metaTag, "application/octet-stream")
 	}
 }
 
@@ -1138,32 +1109,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchReqs.Add(1)
 	s.batchFrags.Add(int64(len(frags)))
-	writeBlob(w, r, EncodeBatch(frags), "", "application/octet-stream", false)
-}
-
-func (s *Server) handleStoreKeys(w http.ResponseWriter, r *http.Request) {
-	keys, err := s.store.Keys(r.Context())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	b, _ := json.Marshal(struct {
-		Keys []string `json:"keys"`
-	}{keys})
-	writeBlob(w, r, b, "", "application/json", false)
-}
-
-func (s *Server) handleStoreBlob(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.store.Get(r.Context(), r.PathValue("key"))
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, storage.ErrNotFound) || errors.Is(err, storage.ErrInvalidKey) {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	writeBlob(w, r, blob, etag(blob), "application/octet-stream", true)
+	blob := EncodeBatch(frags)
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(blob)))
+	w.Write(blob) //nolint:errcheck
 }
 
 // etag builds a strong validator from content checksum + length.
@@ -1172,18 +1122,15 @@ func etag(b []byte) string {
 }
 
 // writeBlob sends one in-memory payload with conditional-request and
-// compression handling, reporting whether payload bytes were sent (false
-// for a 304 revalidation). Immutable payloads get far-future cache
-// headers; the gzip variant of a strong ETag is suffixed so validators
-// stay unique per representation.
-func writeBlob(w http.ResponseWriter, r *http.Request, blob []byte, tag, contentType string, immutable bool) bool {
+// compression handling. A tagged payload (index, meta) is immutable under
+// its tag, so it gets far-future cache headers; the gzip variant of a
+// strong ETag is suffixed so validators stay unique per representation.
+func writeBlob(w http.ResponseWriter, r *http.Request, blob []byte, tag, contentType string) {
 	h := w.Header()
 	h.Set("Content-Type", contentType)
 	if tag != "" {
 		h.Set("Vary", "Accept-Encoding")
-		if immutable {
-			h.Set("Cache-Control", "public, max-age=31536000, immutable")
-		}
+		h.Set("Cache-Control", "public, max-age=31536000, immutable")
 		gzTag := strings.TrimSuffix(tag, "\"") + "-gz\""
 		if match := r.Header.Get("If-None-Match"); match != "" {
 			for _, cand := range strings.Split(match, ",") {
@@ -1191,7 +1138,7 @@ func writeBlob(w http.ResponseWriter, r *http.Request, blob []byte, tag, content
 				if cand == tag || cand == gzTag || cand == "*" {
 					h.Set("ETag", tag)
 					w.WriteHeader(http.StatusNotModified)
-					return false
+					return
 				}
 			}
 		}
@@ -1205,11 +1152,10 @@ func writeBlob(w http.ResponseWriter, r *http.Request, blob []byte, tag, content
 		gz := gzip.NewWriter(w)
 		gz.Write(blob) //nolint:errcheck // client disconnects surface in Close
 		gz.Close()     //nolint:errcheck
-		return true
+		return
 	}
 	h.Set("Content-Length", strconv.Itoa(len(blob)))
 	w.Write(blob) //nolint:errcheck
-	return true
 }
 
 func acceptsGzip(r *http.Request) bool {

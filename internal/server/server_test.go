@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 
 	"progqoi/internal/core"
 	"progqoi/internal/datagen"
+	"progqoi/internal/encoding"
 	"progqoi/internal/obs"
 	"progqoi/internal/progressive"
 	"progqoi/internal/storage"
@@ -61,6 +63,39 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, body
+}
+
+// postFrag fetches one fragment through POST /v1/d/{ds}/frags with an
+// optional bearer token. On 200 it returns the fragment's payload from the
+// decoded batch; otherwise the response body.
+func postFrag(t *testing.T, base, token, ds, vr string, fi int) (*http.Response, []byte) {
+	t.Helper()
+	body, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vr, Indices: []int{fi}}}})
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/d/"+ds+"/frags", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp, blob
+	}
+	frags, err := DecodeBatch(blob)
+	if err != nil || len(frags) != 1 || frags[0].Var != vr || frags[0].Index != fi {
+		t.Fatalf("batch for %s/%d: %d fragments, %v", vr, fi, len(frags), err)
+	}
+	return resp, frags[0].Payload
 }
 
 func TestDatasetsAndIndex(t *testing.T) {
@@ -140,56 +175,6 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFragmentETagAnd304(t *testing.T) {
-	hs, srv, vars := testServer(t, Options{})
-	url := hs.URL + "/v1/d/ge/frag/" + vars[0].Name + "/0"
-	resp, body := get(t, url)
-	if resp.StatusCode != 200 {
-		t.Fatalf("frag: %s", resp.Status)
-	}
-	if !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
-		t.Fatal("fragment payload mismatch")
-	}
-	tag := resp.Header.Get("ETag")
-	if tag == "" {
-		t.Fatal("no ETag on immutable fragment")
-	}
-	if cc := resp.Header.Get("Cache-Control"); cc == "" {
-		t.Fatal("no Cache-Control on immutable fragment")
-	}
-
-	req, _ := http.NewRequest("GET", url, nil)
-	req.Header.Set("If-None-Match", tag)
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := io.ReadAll(resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotModified || len(b2) != 0 {
-		t.Fatalf("conditional GET: %s with %d bytes, want 304 empty", resp2.Status, len(b2))
-	}
-
-	resp3, _ := get(t, hs.URL+"/v1/d/ge/frag/"+vars[0].Name+"/999999")
-	if resp3.StatusCode != 404 {
-		t.Fatalf("out-of-range fragment: %s", resp3.Status)
-	}
-
-	// A 304 revalidation ships no payload, so it must not inflate the
-	// fragment-bytes stat.
-	served := srv.Stats().FragmentBytes
-	req2, _ := http.NewRequest("GET", url, nil)
-	req2.Header.Set("If-None-Match", tag)
-	resp4, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	if got := srv.Stats().FragmentBytes; got != served {
-		t.Fatalf("304 revalidation grew FragmentBytes %d -> %d", served, got)
-	}
-}
-
 func TestBatchFetch(t *testing.T) {
 	hs, _, vars := testServer(t, Options{})
 	req := BatchRequest{Wants: []BatchWant{
@@ -234,6 +219,51 @@ func TestBatchFetch(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != 404 {
 		t.Fatalf("unknown variable batch: %s", resp2.Status)
+	}
+	if resp3, _ := postFrag(t, hs.URL, "", "ge", vars[0].Name, 999999); resp3.StatusCode != 404 {
+		t.Fatalf("out-of-range fragment: %s", resp3.Status)
+	}
+}
+
+// TestBatchUncompressed: fragment payloads are already DEFLATEd, so the
+// PQFRAG1 frame goes out as is even to a client that accepts gzip.
+func TestBatchUncompressed(t *testing.T) {
+	hs, _, vars := testServer(t, Options{})
+	var breq BatchRequest
+	var want []BatchFragment
+	for _, v := range vars {
+		bw := BatchWant{Var: v.Name}
+		for fi, f := range v.Ref.Fragments {
+			bw.Indices = append(bw.Indices, fi)
+			want = append(want, BatchFragment{Var: v.Name, Index: fi, Payload: f})
+		}
+		breq.Wants = append(breq.Wants, bw)
+	}
+	body, _ := json.Marshal(breq)
+	req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/d/ge/frags", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := (&http.Client{Transport: &http.Transport{DisableCompression: true}}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %s, %v", resp.Status, err)
+	}
+	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+		t.Fatalf("batch Content-Encoding = %q, want none", enc)
+	}
+	frame := EncodeBatch(want)
+	if len(frame) < gzipMin {
+		t.Fatalf("%d-byte frame is below the gzip threshold: the test is vacuous", len(frame))
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(frame)) {
+		t.Fatalf("Content-Length = %q, want the %d-byte frame", cl, len(frame))
+	}
+	if !bytes.Equal(blob, frame) {
+		t.Fatal("batch body differs from its PQFRAG1 frame")
 	}
 }
 
@@ -309,7 +339,7 @@ func TestConcurrencyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := &gateStore{Store: mem, started: make(chan string, 16), release: make(chan struct{})}
-	srv, err := New(context.Background(), gs, Options{MaxInflight: 2})
+	srv, err := New(context.Background(), gs, Options{MaxInflight: 2, HotCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +355,10 @@ func TestConcurrencyLimit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(hs.URL + "/v1/store/blob/ge.manifest")
+			// With the hot cache off, every batch reads its fragment
+			// through gateStore.Get: the store has no ranged reads.
+			body, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vars[0].Name, Indices: []int{0}}}})
+			resp, err := http.Post(hs.URL+"/v1/d/ge/frags", "application/json", bytes.NewReader(body))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body) //nolint:errcheck
 				resp.Body.Close()
@@ -388,6 +421,11 @@ func TestWireCodecsRejectCorruption(t *testing.T) {
 	if _, err := DecodeBatch(batch[:len(batch)-2]); err == nil {
 		t.Fatal("truncated batch accepted")
 	}
+	// Bytes between the last fragment and the CRC, under a valid CRC.
+	trailing := withCRC(append(append([]byte(nil), batch[:len(batch)-4]...), 0))
+	if _, err := DecodeBatch(trailing); !errors.Is(err, encoding.ErrCorrupt) {
+		t.Fatalf("batch with trailing bytes: want ErrCorrupt, got %v", err)
+	}
 }
 
 func ExampleBuildIndex() {
@@ -398,9 +436,8 @@ func ExampleBuildIndex() {
 
 func TestHotCacheServesAndCounts(t *testing.T) {
 	hs, srv, vars := testServer(t, Options{})
-	url := fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name)
 
-	resp, body := get(t, url)
+	resp, body := postFrag(t, hs.URL, "", "ge", vars[0].Name, 0)
 	if resp.StatusCode != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
 		t.Fatalf("first read: %s, %d bytes", resp.Status, len(body))
 	}
@@ -409,7 +446,7 @@ func TestHotCacheServesAndCounts(t *testing.T) {
 		t.Fatalf("first read did not miss into the cache: %+v", st)
 	}
 
-	resp, body = get(t, url)
+	resp, body = postFrag(t, hs.URL, "", "ge", vars[0].Name, 0)
 	if resp.StatusCode != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[0]) {
 		t.Fatalf("second read: %s, %d bytes", resp.Status, len(body))
 	}
@@ -428,7 +465,7 @@ func TestHotCacheEvictsUnderBytePressure(t *testing.T) {
 	hs, srv, vars := testServer(t, Options{HotCacheBytes: 4 << 10})
 	for vi, v := range vars {
 		for fi, want := range v.Ref.Fragments {
-			resp, body := get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/%d", hs.URL, v.Name, fi))
+			resp, body := postFrag(t, hs.URL, "", "ge", v.Name, fi)
 			if resp.StatusCode != 200 || !bytes.Equal(body, want) {
 				t.Fatalf("var %d frag %d: %s, %d bytes (want %d)", vi, fi, resp.Status, len(body), len(want))
 			}
@@ -445,9 +482,8 @@ func TestHotCacheEvictsUnderBytePressure(t *testing.T) {
 
 func TestHotCacheDisabledStillServes(t *testing.T) {
 	hs, srv, vars := testServer(t, Options{HotCacheBytes: -1})
-	url := fmt.Sprintf("%s/v1/d/ge/frag/%s/1", hs.URL, vars[0].Name)
 	for i := 0; i < 2; i++ {
-		resp, body := get(t, url)
+		resp, body := postFrag(t, hs.URL, "", "ge", vars[0].Name, 1)
 		if resp.StatusCode != 200 || !bytes.Equal(body, vars[0].Ref.Fragments[1]) {
 			t.Fatalf("read %d: %s", i, resp.Status)
 		}
@@ -485,7 +521,7 @@ func TestFragmentCorruptAtRestDetected(t *testing.T) {
 	}
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	resp, body := get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name))
+	resp, body := postFrag(t, hs.URL, "", "ge", vars[0].Name, 0)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("corrupt fragment served: %s", resp.Status)
 	}
@@ -493,7 +529,7 @@ func TestFragmentCorruptAtRestDetected(t *testing.T) {
 		t.Fatalf("error does not name corruption: %q", body)
 	}
 	// The untouched fragment next door still serves.
-	resp, _ = get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/1", hs.URL, vars[0].Name))
+	resp, _ = postFrag(t, hs.URL, "", "ge", vars[0].Name, 1)
 	if resp.StatusCode != 200 {
 		t.Fatalf("healthy fragment refused: %s", resp.Status)
 	}
@@ -501,7 +537,6 @@ func TestFragmentCorruptAtRestDetected(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	hs, _, vars := testServer(t, Options{})
-	get(t, fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name))
 	body, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vars[0].Name, Indices: []int{0, 1}}}})
 	resp, err := http.Post(hs.URL+"/v1/d/ge/frags", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -522,7 +557,6 @@ func TestMetricsExposition(t *testing.T) {
 	text := string(mbody)
 	for _, want := range []string{
 		"progqoid_requests_total",
-		`progqoid_route_requests_total{route="frag"} 1`,
 		`progqoid_route_requests_total{route="frags"} 1`,
 		"progqoid_batch_requests_total 1",
 		"progqoid_batch_fragments_total 2",
@@ -532,7 +566,7 @@ func TestMetricsExposition(t *testing.T) {
 		"progqoid_hot_cache_misses_total",
 		"# TYPE progqoid_requests_total counter",
 		"# TYPE progqoid_request_duration_seconds histogram",
-		`progqoid_request_duration_seconds_bucket{route="frag",le="+Inf"} 1`,
+		`progqoid_request_duration_seconds_bucket{route="frags",le="+Inf"} 1`,
 		`progqoid_request_duration_seconds_count{route="frags"} 1`,
 		"# TYPE progqoid_frags_request_bytes histogram",
 		"progqoid_frags_request_bytes_count 1",
@@ -600,7 +634,8 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(fmt.Sprintf("%s/v1/d/ge/frag/%s/0", hs.URL, vars[0].Name))
+				body, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vars[0].Name, Indices: []int{0}}}})
+				resp, err := http.Post(hs.URL+"/v1/d/ge/frags", "application/json", bytes.NewReader(body))
 				if err == nil {
 					io.Copy(io.Discard, resp.Body) //nolint:errcheck
 					resp.Body.Close()

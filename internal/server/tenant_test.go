@@ -225,8 +225,9 @@ func TestTenantInflightCap429(t *testing.T) {
 	}
 	gs := &gateStore{Store: mem, started: make(chan string, 16), release: make(chan struct{})}
 	srv, err := New(context.Background(), gs, Options{
-		MaxInflight: 8,
-		Tenants:     []Tenant{{Name: "capped", Token: "capped-token", MaxInflight: 1}},
+		MaxInflight:   8,
+		HotCacheBytes: -1,
+		Tenants:       []Tenant{{Name: "capped", Token: "capped-token", MaxInflight: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +241,7 @@ func TestTenantInflightCap429(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		resp, body := authedGet(t, hs.URL+"/v1/store/blob/ge.manifest", "capped-token")
+		resp, body := postFrag(t, hs.URL, "capped-token", "ge", vars[0].Name, 0)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("blocked request finished %s: %s", resp.Status, body)
 		}

@@ -149,7 +149,8 @@ func EncodeBatch(frags []BatchFragment) []byte {
 }
 
 // DecodeBatch parses an EncodeBatch blob, detecting truncation and
-// corruption via the frame CRC.
+// corruption via the frame CRC. Bytes between the last fragment and the
+// CRC are corruption too, so a decoded blob re-encodes to exactly itself.
 func DecodeBatch(raw []byte) ([]BatchFragment, error) {
 	blob, err := checkCRC(raw)
 	if err != nil {
@@ -185,6 +186,9 @@ func DecodeBatch(raw []byte) ([]BatchFragment, error) {
 		}
 		off += m
 		out[i] = BatchFragment{Var: string(name), Index: idx, Payload: payload}
+	}
+	if off != len(blob) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d batch fragments", encoding.ErrCorrupt, len(blob)-off, n)
 	}
 	return out, nil
 }

@@ -23,8 +23,7 @@ import (
 //	s3://bucket/prefix/ge       object-store bucket, ranged fragment reads
 //
 // The last path segment is always the dataset name; everything before it
-// locates the store. OpenRemote remains as a deprecated wrapper over the
-// http(s) case.
+// locates the store.
 
 // ErrBadRef reports an Open reference that cannot be resolved: an
 // unsupported scheme, a missing dataset segment, or an s3 reference
@@ -51,8 +50,8 @@ type StoreFetchStats = storage.FetchStats
 //     stale bytes.
 //
 //   - "http://…" / "https://…" opens a dataset served by a progqoid
-//     fragment service, exactly like OpenRemote: the base URL is the
-//     reference minus its last path segment. All cluster options
+//     fragment service: the base URL is the reference minus its last path
+//     segment. All cluster options
 //     (WithEndpoints, WithReplication, WithPeerDiscovery, WithReadAhead)
 //     apply.
 //
@@ -178,8 +177,7 @@ func openDirArchive(ctx context.Context, p string) (*Archive, error) {
 	return archiveFromVars(vars), nil
 }
 
-// openRemoteArchive is the shared body of Open's http(s) case and the
-// deprecated OpenRemote wrapper.
+// openRemoteArchive opens Open's http(s) case.
 func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOptions) (*Archive, error) {
 	rem, err := client.Open(ctx, baseURL, dataset, client.Options{
 		CacheBytes:      ro.cacheBytes,
@@ -217,14 +215,13 @@ func archiveFromVars(vars []*core.Variable) *Archive {
 	return &Archive{vars: vars, names: names, dims: dims, fields: len(vars)}
 }
 
-// storeArchive is an archive opened directly from a storage.Store (the
-// s3:// case): retrieval metadata held locally, fragment payloads
-// re-read on demand at their recorded byte ranges. One storeArchive can
-// serve many concurrent sessions; the store's read-through cache is the
-// shared layer between them.
+// storeArchive is an archive opened directly from an object store (the
+// s3:// case): retrieval metadata held locally, fragment payloads re-read
+// on demand at their recorded byte ranges. One storeArchive can serve many
+// concurrent sessions; the store's read-through cache is the shared layer
+// between them.
 type storeArchive struct {
-	st      storage.Store
-	rr      storage.RangeReader // nil when the store cannot read ranges
+	st      *objstore.Store
 	dataset string
 	vars    []*core.Variable          // meta-only: fragment payloads stripped
 	ranges  [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
@@ -236,13 +233,12 @@ type storeArchive struct {
 // openStoreArchive reads the archive's metadata (one pass over each
 // variable blob) and returns a session factory whose fragment reads are
 // ranged GETs against st.
-func openStoreArchive(ctx context.Context, st storage.Store, dataset string) (*Archive, error) {
+func openStoreArchive(ctx context.Context, st *objstore.Store, dataset string) (*Archive, error) {
 	vars, ranges, err := storage.ReadArchiveRanged(ctx, st, dataset)
 	if err != nil {
 		return nil, err
 	}
 	sa := &storeArchive{st: st, dataset: dataset, vars: vars, ranges: ranges}
-	sa.rr, _ = st.(storage.RangeReader)
 	sa.keys = make([]string, len(vars))
 	for i, v := range vars {
 		sa.keys[i] = storage.VarKey(dataset, v.Name)
@@ -278,7 +274,8 @@ func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*cor
 				if len(vars[vi].Ref.Fragments[fi]) != 0 {
 					continue
 				}
-				b, err := sa.fetchFragment(ctx, vi, fi)
+				r := sa.ranges[vi][fi]
+				b, err := sa.st.GetRange(ctx, sa.keys[vi], r.Off, r.Len)
 				if err != nil {
 					return err
 				}
@@ -292,25 +289,6 @@ func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*cor
 	return core.NewRetriever(vars, cfg, fetch)
 }
 
-// fetchFragment reads one fragment payload at its recorded range — a
-// ranged GET when the store supports it, a full blob read (cached by the
-// store) otherwise.
-func (sa *storeArchive) fetchFragment(ctx context.Context, vi, fi int) ([]byte, error) {
-	r := sa.ranges[vi][fi]
-	if sa.rr != nil {
-		return sa.rr.GetRange(ctx, sa.keys[vi], r.Off, r.Len)
-	}
-	raw, err := sa.st.Get(ctx, sa.keys[vi])
-	if err != nil {
-		return nil, err
-	}
-	if r.Off+r.Len > int64(len(raw)) {
-		return nil, fmt.Errorf("progqoi: %s: fragment %d range [%d,%d) outside %d-byte blob",
-			sa.keys[vi], fi, r.Off, r.Off+r.Len, len(raw))
-	}
-	return raw[r.Off : r.Off+r.Len], nil
-}
-
 // StoreBacked reports whether the archive reads fragments from an object
 // store opened via an s3:// reference.
 func (a *Archive) StoreBacked() bool { return a.store != nil }
@@ -318,13 +296,10 @@ func (a *Archive) StoreBacked() bool { return a.store != nil }
 // StoreStats returns the cold-fetch accounting of a store-backed archive:
 // reads that actually reached the bucket, their bytes and wall time.
 // Zero for local and progqoid-served archives (use RemoteStats for the
-// latter) and for stores that do not keep fetch statistics.
+// latter).
 func (a *Archive) StoreStats() StoreFetchStats {
 	if a.store == nil {
 		return StoreFetchStats{}
 	}
-	if fs, ok := a.store.st.(storage.FetchStatser); ok {
-		return fs.FetchStats()
-	}
-	return StoreFetchStats{}
+	return a.store.st.FetchStats()
 }

@@ -84,7 +84,7 @@ func TestSharedCacheSessionsWithCancelMidDo(t *testing.T) {
 	want := doVTOT(t, arch, 1e-4)
 
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestReadAheadPipeline(t *testing.T) {
 	want := doVTOT(t, arch, 1e-4)
 
 	hs := serveArchive(t, arch, "ge")
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge", WithReadAhead(4))
+	rarch, err := Open(context.Background(), hs.URL+"/ge", WithReadAhead(4))
 	if err != nil {
 		t.Fatal(err)
 	}

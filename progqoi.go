@@ -208,7 +208,7 @@ type Archive struct {
 	store  *storeArchive
 }
 
-// RemoteOption configures OpenRemote, in the same functional-options idiom
+// RemoteOption configures Open, in the same functional-options idiom
 // Refactor and Archive.Open use. With no options the remote client's
 // defaults apply: 30 s response-header timeout, 3 retries with exponential
 // backoff, 64 MiB fragment cache.
@@ -267,7 +267,7 @@ func WithReplication(n int) RemoteOption {
 	return func(o *remoteOptions) { o.replication = n }
 }
 
-// WithPeerDiscovery asks OpenRemote to fetch the seed node's static
+// WithPeerDiscovery asks Open to fetch the seed node's static
 // topology (/v1/cluster, populated by progqoid -peers) and fold the
 // advertised peers into the endpoint set — point a client at one node of
 // a static cluster and it finds the rest. Best-effort: a node without
@@ -347,28 +347,10 @@ func WithReadAhead(n int) RemoteOption {
 
 // RemoteStats snapshots a remote archive's wire accounting: fragment
 // payload bytes fetched over HTTP (the same unit as RetrievedBytes;
-// transport compression not deducted), cache hits (free), and coalesced
+// batch framing not counted), cache hits (free), and coalesced
 // fetches shared between concurrent sessions. Compare WireBytes with a
 // session's RetrievedBytes to see what the cache saved.
 type RemoteStats = client.Stats
-
-// OpenRemote opens a dataset hosted by a progqoid fragment service (see
-// cmd/progqoid). Only retrieval metadata crosses the wire up front —
-// scoped by ctx — and sessions opened with Archive.Open then pull exactly
-// the fragments each tolerance needs, batched into one request per
-// retrieval iteration under each Do call's own context.
-//
-// Deprecated: use Open with an "http(s)://host[/base]/dataset" reference;
-// OpenRemote(ctx, base, ds, opts...) is Open(ctx, base+"/"+ds, opts...).
-func OpenRemote(ctx context.Context, baseURL, dataset string, opts ...RemoteOption) (*Archive, error) {
-	var ro remoteOptions
-	for _, fn := range opts {
-		if fn != nil {
-			fn(&ro)
-		}
-	}
-	return openRemoteArchive(ctx, baseURL, dataset, ro)
-}
 
 // Remote reports whether the archive retrieves from a progqoid fragment
 // service (see StoreBacked for archives reading an object store directly).
@@ -464,7 +446,7 @@ type FetchObserver = progressive.FetchFunc
 type SessionConfig = core.Config
 
 // OpenOption configures Archive.Open, in the same functional-options idiom
-// Refactor and OpenRemote use.
+// Refactor and Open use.
 type OpenOption func(*openOptions)
 
 type openOptions struct {
@@ -663,62 +645,6 @@ func (s *Session) Do(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	return s.rt.Retrieve(ctx, creq)
-}
-
-// Retrieve certifies every QoI within its absolute tolerance over the
-// whole domain.
-//
-// Deprecated: use Do, which composes tolerances, regions and relative
-// targets in one request and adds context cancellation and progress
-// streaming. Retrieve is Do with one absolute whole-domain Target per QoI
-// under context.Background().
-func (s *Session) Retrieve(qois []QoI, tolerances []float64) (*Result, error) {
-	if len(tolerances) != len(qois) {
-		return nil, fmt.Errorf("%w: %d tolerances for %d QoIs", ErrBadRequest, len(tolerances), len(qois))
-	}
-	targets := make([]Target, len(qois))
-	for k := range qois {
-		targets[k] = Target{QoI: qois[k], Tolerance: tolerances[k]}
-	}
-	//progqoivet:allow ctxflow -- deprecated v1 wrapper documented to run under a root context
-	return s.Do(context.Background(), Request{Targets: targets})
-}
-
-// RetrieveRegions is Retrieve with per-QoI regions of interest: QoI k is
-// certified only over regions[k]. A nil regions slice means the whole
-// domain for every QoI, as before.
-//
-// Deprecated: use Do with per-Target Regions.
-func (s *Session) RetrieveRegions(qois []QoI, tolerances []float64, regions []Region) (*Result, error) {
-	if regions == nil {
-		regions = make([]Region, len(qois))
-	}
-	if len(tolerances) != len(qois) || len(regions) != len(qois) {
-		return nil, fmt.Errorf("%w: %d tolerances / %d regions for %d QoIs",
-			ErrBadRequest, len(tolerances), len(regions), len(qois))
-	}
-	targets := make([]Target, len(qois))
-	for k := range qois {
-		targets[k] = Target{QoI: qois[k], Tolerance: tolerances[k], Region: regions[k]}
-	}
-	//progqoivet:allow ctxflow -- deprecated v1 wrapper documented to run under a root context
-	return s.Do(context.Background(), Request{Targets: targets})
-}
-
-// RetrieveRelative is Retrieve with tolerances relative to the given QoI
-// ranges (the paper's evaluation convention): absolute τ = rel × range.
-//
-// Deprecated: use Do with Relative Targets.
-func (s *Session) RetrieveRelative(qois []QoI, rel []float64, qoiRanges []float64) (*Result, error) {
-	if len(rel) != len(qois) || len(qoiRanges) != len(qois) {
-		return nil, fmt.Errorf("%w: rel/range length mismatch", ErrBadRequest)
-	}
-	targets := make([]Target, len(qois))
-	for k := range qois {
-		targets[k] = Target{QoI: qois[k], Tolerance: rel[k], Relative: true, Range: qoiRanges[k]}
-	}
-	//progqoivet:allow ctxflow -- deprecated v1 wrapper documented to run under a root context
-	return s.Do(context.Background(), Request{Targets: targets})
 }
 
 // RetrievedBytes returns the session's cumulative fetched bytes.

@@ -1,6 +1,7 @@
 package progqoi
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -37,7 +38,7 @@ func TestPublicAPIQuickPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Retrieve([]QoI{vtot}, []float64{1e-3})
+	res, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-3}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestAllMethodsThroughFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sess.Retrieve([]QoI{vtot}, []float64{1e-4})
+		res, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-4}}})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -76,7 +77,7 @@ func TestAllMethodsThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRetrieveRelative(t *testing.T) {
+func TestDoRelativeTolerance(t *testing.T) {
 	names, fields, dims := demoFields(1000)
 	arch, err := Refactor(names, fields, dims)
 	if err != nil {
@@ -85,16 +86,13 @@ func TestRetrieveRelative(t *testing.T) {
 	sess, _ := arch.Open()
 	vtot := TotalVelocity(0, 1, 2)
 	ranges := QoIRanges([]QoI{vtot}, fields)
-	res, err := sess.RetrieveRelative([]QoI{vtot}, []float64{1e-5}, ranges)
+	res, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-5, Relative: true, Range: ranges[0]}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	actual := ActualQoIErrors([]QoI{vtot}, fields, res.Data)
 	if actual[0] > 1e-5*ranges[0] {
 		t.Fatalf("relative tolerance violated: %g vs %g", actual[0], 1e-5*ranges[0])
-	}
-	if _, err := sess.RetrieveRelative([]QoI{vtot}, []float64{1e-5, 1}, ranges); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
 
@@ -107,7 +105,7 @@ func TestFetchObserverThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	vtot := TotalVelocity(0, 1, 2)
-	if _, err := sess.Retrieve([]QoI{vtot}, []float64{1e-2}); err != nil {
+	if _, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-2}}}); err != nil {
 		t.Fatal(err)
 	}
 	if seen != sess.RetrievedBytes() {
@@ -151,7 +149,7 @@ func TestExhaustedSurfaced(t *testing.T) {
 	}
 	sess, _ := arch.Open()
 	vtot := TotalVelocity(0, 1, 2)
-	res, err := sess.Retrieve([]QoI{vtot}, []float64{1e-12})
+	res, err := sess.Do(context.Background(), Request{Targets: []Target{{QoI: vtot, Tolerance: 1e-12}}})
 	if !errors.Is(err, ErrExhausted) {
 		t.Fatalf("want ErrExhausted, got %v", err)
 	}
@@ -160,7 +158,7 @@ func TestExhaustedSurfaced(t *testing.T) {
 	}
 }
 
-func TestRetrieveRegionsThroughFacade(t *testing.T) {
+func TestDoRegionsThroughFacade(t *testing.T) {
 	names, fields, dims := demoFields(1200)
 	arch, err := Refactor(names, fields, dims)
 	if err != nil {
@@ -169,11 +167,10 @@ func TestRetrieveRegionsThroughFacade(t *testing.T) {
 	sess, _ := arch.Open()
 	vtot := TotalVelocity(0, 1, 2)
 	hot := Region{Lo: 0, Hi: 300}
-	res, err := sess.RetrieveRegions(
-		[]QoI{vtot, vtot},
-		[]float64{1e-6, 1e-2},
-		[]Region{hot, {}},
-	)
+	res, err := sess.Do(context.Background(), Request{Targets: []Target{
+		{QoI: vtot, Tolerance: 1e-6, Region: hot},
+		{QoI: vtot, Tolerance: 1e-2},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +187,8 @@ func TestRetrieveRegionsThroughFacade(t *testing.T) {
 	if e := ActualQoIErrors([]QoI{vtot}, hotOrig, hotRecon); e[0] > 1e-6 {
 		t.Fatalf("hot region error %g", e[0])
 	}
-	if _, err := sess.RetrieveRegions([]QoI{vtot}, []float64{1}, []Region{{Lo: -1, Hi: 2}}); err == nil {
+	if _, err := sess.Do(context.Background(), Request{Targets: []Target{
+		{QoI: vtot, Tolerance: 1, Region: Region{Lo: -1, Hi: 2}}}}); err == nil {
 		t.Fatal("invalid region accepted")
 	}
 }

@@ -49,11 +49,11 @@ func retrieveSequence(t *testing.T, sess *Session, qois []QoI, ranges []float64)
 	t.Helper()
 	var out []*Result
 	for _, rel := range []float64{1e-2, 1e-3, 1e-4} {
-		rels := make([]float64, len(qois))
-		for i := range rels {
-			rels[i] = rel
+		targets := make([]Target, len(qois))
+		for i, q := range qois {
+			targets[i] = Target{QoI: q, Tolerance: rel, Relative: true, Range: ranges[i]}
 		}
-		res, err := sess.RetrieveRelative(qois, rels, ranges)
+		res, err := sess.Do(context.Background(), Request{Targets: targets})
 		if err != nil {
 			t.Fatalf("rel %g: %v", rel, err)
 		}
@@ -70,7 +70,7 @@ func TestRemoteRetrieveMatchesLocalEndToEnd(t *testing.T) {
 	}
 	hs := serveArchive(t, arch, "ge")
 
-	rarch, err := OpenRemote(context.Background(), hs.URL, "ge")
+	rarch, err := Open(context.Background(), hs.URL+"/ge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,14 +191,14 @@ func TestRemoteRetrieveMatchesLocalEndToEnd(t *testing.T) {
 	}
 }
 
-func TestOpenRemoteUnknownDataset(t *testing.T) {
+func TestOpenUnknownRemoteDataset(t *testing.T) {
 	ds := datagen.GE("GE-remote-404", 4, 64, 3)
 	arch, err := Refactor(ds.FieldNames, ds.Fields, ds.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hs := serveArchive(t, arch, "ge")
-	if _, err := OpenRemote(context.Background(), hs.URL, "missing"); err == nil {
+	if _, err := Open(context.Background(), hs.URL+"/missing"); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
