@@ -1,4 +1,4 @@
-// Package ctxflow defines an analyzer enforcing the PR 2 context
+// Package ctxflow defines an analyzer enforcing the repository's context
 // contract: cancellation flows end to end, so code below main must not
 // mint fresh root contexts or issue context-free HTTP requests.
 //
@@ -7,16 +7,15 @@
 //  1. context.Background() and context.TODO() are banned outside
 //     package main and _test.go files. Library code receives its
 //     context from the caller; a fresh root silently detaches I/O from
-//     the session's deadline and cancel — exactly the bug class PR 2
-//     eliminated by threading ctx through Retrieve, Prefetch, Advance
-//     and the whole client. Two shapes are exempt: defaulting a nil
-//     context ("if ctx == nil { ctx = context.Background() }"), which
+//     the session's deadline and cancel, which threading ctx through
+//     Retrieve, the core.Source fetch, Advance and the whole client
+//     rules out. Two shapes are exempt: defaulting a nil context
+//     ("if ctx == nil { ctx = context.Background() }"), which
 //     preserves a caller-supplied context whenever one exists, and
 //     sites carrying a //progqoivet:allow ctxflow -- <reason>
-//     directive — the documented read-ahead detach in
-//     internal/client/remote.go (speculative fetches must outlive the
-//     iteration that spawned them), the context-free storage.Store
-//     adapter reads, and the deprecated v1 wrappers in progqoi.go.
+//     directive. The one such site is the topology refresher in
+//     internal/client/view.go, which outlives any one session and is
+//     stopped by Close.
 //
 //  2. HTTP requests must carry a context: http.NewRequest and the
 //     shorthand helpers http.Get/Head/Post/PostForm (package-level or

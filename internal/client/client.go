@@ -55,14 +55,6 @@ type Options struct {
 	// CacheBytes bounds the shared fragment cache (default
 	// DefaultCacheBytes; negative disables caching).
 	CacheBytes int64
-	// ReadAhead pipelines network fetch with decode: after each batched
-	// session fetch, up to ReadAhead further fragments per variable (the
-	// ones a tightening iteration would request next) are fetched in the
-	// background into the shared cache while the session decodes the batch
-	// it already has. 0 disables the pipeline. Speculative fragments count
-	// toward WireBytes even if never ingested, so on workloads that stop
-	// early the wire total can exceed a session's RetrievedBytes.
-	ReadAhead int
 	// Endpoints are additional base URLs of cluster nodes serving the
 	// same archives as the primary base URL; fragment fetches shard over
 	// all of them by rendezvous hashing and fail over between them. See
@@ -140,9 +132,6 @@ type Stats struct {
 	// Coalesced counts fragment lookups that piggybacked on another
 	// session's in-flight fetch.
 	Coalesced int64
-	// Speculated counts fragments requested by the read-ahead pipeline
-	// (Options.ReadAhead) rather than by a session's current plan.
-	Speculated int64
 	// Failovers counts fetches served by an endpoint other than their
 	// shard's rendezvous primary — each one is a request a healthy
 	// single-node path would have lost.
@@ -223,7 +212,6 @@ type Client struct {
 	wireRequests atomic.Int64
 	fragsFetched atomic.Int64
 	coalesced    atomic.Int64
-	speculated   atomic.Int64
 	failovers    atomic.Int64
 	retryPasses  atomic.Int64
 	rateLimited  atomic.Int64
@@ -289,7 +277,6 @@ func (c *Client) Stats() Stats {
 		FragmentsFetched: c.fragsFetched.Load(),
 		CacheHits:        cs.Hits,
 		Coalesced:        c.coalesced.Load(),
-		Speculated:       c.speculated.Load(),
 		Failovers:        c.failovers.Load(),
 		RetryPasses:      c.retryPasses.Load(),
 		RateLimited:      c.rateLimited.Load(),

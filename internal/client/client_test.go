@@ -451,7 +451,7 @@ func TestConcurrentSessionsShareWire(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rt, err := rem.NewSession(nil, core.Config{})
+			rt, err := core.NewSourceRetriever(rem.Variables(), rem, core.Config{}, nil)
 			if err != nil {
 				errs[i] = err
 				return

@@ -3,46 +3,30 @@ package client
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"progqoi/internal/core"
-	"progqoi/internal/obs"
-	"progqoi/internal/progressive"
 	"progqoi/internal/server"
 )
 
-// readAheadTimeout bounds one background read-ahead fetch; nothing waits on
-// it, so a stuck speculative request must time itself out.
-const readAheadTimeout = 2 * time.Minute
-
 // Remote is an opened remote dataset: the retrieval metadata of every
 // variable (prefix bounds, schedules, zero masks, ranges) held locally,
-// fragment payloads fetched lazily per retrieval iteration. One Remote can
-// serve many concurrent sessions; they share the client's cache and
+// fragment payloads fetched lazily per retrieval iteration. A Remote is
+// the core.Source of its sessions (see core.NewSourceRetriever); one Remote
+// can serve many concurrent sessions, which share the client's cache and
 // coalesce duplicate fetches.
 type Remote struct {
 	c       *Client
 	dataset string
 	vars    []*core.Variable // meta-only: fragment payloads are placeholders
 	stored  int64
-
-	specWG sync.WaitGroup // in-flight read-ahead fetches
+	workers int // bound on concurrent per-shard sub-batches; 0 = GOMAXPROCS
 }
 
-// WaitReadAhead blocks until every in-flight background read-ahead fetch
-// has finished — for orderly shutdown and deterministic tests; sessions
-// never need it.
-func (r *Remote) WaitReadAhead() { r.specWG.Wait() }
-
-// Close waits for in-flight read-ahead fetches and stops the underlying
-// client's background topology refresher. Only the Remote that owns its
-// client (the Open path) should call it; with a shared client (New +
-// OpenDataset across datasets), close the client once instead.
-func (r *Remote) Close() {
-	r.WaitReadAhead()
-	r.c.Close()
-}
+// Close stops the underlying client's background topology refresher. Only
+// the Remote that owns its client (the Open path) should call it; with a
+// shared client (New + OpenDataset across datasets), close the client once
+// instead.
+func (r *Remote) Close() { r.c.Close() }
 
 // Open dials baseURL and opens the named dataset with fresh client
 // options; ctx scopes the metadata round trips (and, with
@@ -114,131 +98,44 @@ func (c *Client) OpenDataset(ctx context.Context, dataset string) (*Remote, erro
 // Client returns the underlying client (shared cache, wire stats).
 func (r *Remote) Client() *Client { return r.c }
 
-// Dataset returns the dataset name.
-func (r *Remote) Dataset() string { return r.dataset }
-
-// FieldNames returns the dataset's variable names in order.
-func (r *Remote) FieldNames() []string {
-	out := make([]string, len(r.vars))
-	for i, v := range r.vars {
-		out[i] = v.Name
-	}
-	return out
-}
-
-// Dims returns the dataset's grid shape.
-func (r *Remote) Dims() []int {
-	if len(r.vars) == 0 {
-		return nil
-	}
-	return append([]int(nil), r.vars[0].Ref.Dims...)
-}
-
 // StoredBytes returns the total fragment bytes held at the storage site.
 func (r *Remote) StoredBytes() int64 { return r.stored }
 
-// NewSession opens a QoI retrieval session whose fragment fetches travel
-// the wire in one batched request per retrieval iteration. fetch (optional)
-// observes every ingested fragment exactly as in the local path, so byte
-// accounting (e.g. a netsim.Recorder) works identically. Any Prefetch
-// already set in cfg is replaced.
-//
-// With Options.ReadAhead > 0 the prefetch hook pipelines the wire with the
-// decoder: once iteration N's batch is installed it launches a background
-// fetch of the fragments a tightening iteration would request next, so the
-// network works on batch N+1 while the worker pool decodes batch N. The
-// speculative payloads land in the client's shared cache; iteration N+1
-// either hits the cache or coalesces onto the still-in-flight fetch.
-func (r *Remote) NewSession(fetch progressive.FetchFunc, cfg core.Config) (*core.Retriever, error) {
-	// Each session owns its fragment payload slots; metadata (blocks,
-	// bounds, schedules, masks) is immutable and shared across sessions.
-	vars := make([]*core.Variable, len(r.vars))
-	for i, v := range r.vars {
-		ref := *v.Ref
-		ref.Fragments = make([][]byte, len(v.Ref.Fragments))
-		cv := *v
-		cv.Ref = &ref
-		vars[i] = &cv
-	}
-	// The session's Workers budget bounds the concurrent per-shard
-	// sub-batches too, so wire fan-out never exceeds compute fan-out.
-	workers := cfg.Workers
-	cfg.Prefetch = func(ctx context.Context, need [][]int) error {
-		wants := map[string][]int{}
-		for vi, idxs := range need {
-			for _, fi := range idxs {
-				if fi < 0 || fi >= len(vars[vi].Ref.Fragments) {
-					return fmt.Errorf("client: plan wants fragment %s/%d of %d", vars[vi].Name, fi, len(vars[vi].Ref.Fragments))
-				}
-				if len(vars[vi].Ref.Fragments[fi]) == 0 {
-					wants[vars[vi].Name] = append(wants[vars[vi].Name], fi)
-				}
-			}
-		}
-		if len(wants) == 0 {
-			return nil
-		}
-		got, err := r.c.FragmentsWorkers(ctx, r.dataset, wants, workers)
-		if err != nil {
-			return err
-		}
-		for vi := range vars {
-			for fi, payload := range got[vars[vi].Name] {
-				vars[vi].Ref.Fragments[fi] = payload
-			}
-		}
-		r.readAhead(ctx, need, vars)
-		return nil
-	}
-	cfg.WireBytes = func() int64 { return r.c.wireBytes.Load() }
-	return core.NewRetriever(vars, cfg, fetch)
+// Variables returns the dataset's retrieval metadata with fragment
+// payloads absent, shared by every session; callers must not mutate it.
+func (r *Remote) Variables() []*core.Variable { return r.vars }
+
+// WithWorkers returns a Remote over the same client and dataset whose
+// fetches issue at most n concurrent per-shard sub-batches. A session
+// passes its Workers budget so wire fan-out never exceeds compute fan-out.
+func (r *Remote) WithWorkers(n int) *Remote {
+	cp := *r
+	cp.workers = n
+	return &cp
 }
 
-// readAhead launches the speculative fetch of the fragments just past each
-// variable's current plan (the contiguous-prefix representations always
-// request next fragments in order, so the prediction is exact for PMGARD
-// and PSZ3-Delta). It returns immediately; errors are swallowed — a failed
-// speculation costs nothing but the attempt.
-func (r *Remote) readAhead(ctx context.Context, need [][]int, vars []*core.Variable) {
-	ra := r.c.opts.ReadAhead
-	if ra <= 0 {
-		return
-	}
-	spec := map[string][]int{}
-	var count int64
-	for vi, idxs := range need {
-		if len(idxs) == 0 {
-			continue
-		}
-		last := idxs[0]
-		for _, fi := range idxs {
-			if fi > last {
-				last = fi
-			}
-		}
-		frags := vars[vi].Ref.Fragments
-		for fi := last + 1; fi <= last+ra && fi < len(frags); fi++ {
-			if len(frags[fi]) == 0 {
-				spec[vars[vi].Name] = append(spec[vars[vi].Name], fi)
-				count++
-			}
+// Fetch implements core.Source: every run becomes one variable's wants,
+// and all of them travel in one batched round trip per shard.
+func (r *Remote) Fetch(ctx context.Context, runs []core.Run) ([][][]byte, error) {
+	wants := map[string][]int{}
+	for vi, run := range runs {
+		for fi := run.Lo; fi < run.Hi; fi++ {
+			wants[r.vars[vi].Name] = append(wants[r.vars[vi].Name], fi)
 		}
 	}
-	if len(spec) == 0 {
-		return
+	got, err := r.c.FragmentsWorkers(ctx, r.dataset, wants, r.workers)
+	if err != nil {
+		return nil, err
 	}
-	r.c.speculated.Add(count)
-	r.specWG.Add(1)
-	// Detach from the iteration's deadline but keep its trace and request
-	// ID: speculative fetches increment WireBytes, so they must also record
-	// fetch spans or the trace's byte reconciliation would leak.
-	tr, rid := obs.TraceFrom(ctx), obs.RequestIDFrom(ctx)
-	go func() {
-		defer r.specWG.Done()
-		//progqoivet:allow ctxflow -- speculative read-ahead must outlive the iteration that spawned it
-		sctx, cancel := context.WithTimeout(context.Background(), readAheadTimeout)
-		defer cancel()
-		sctx = obs.ContextWithRequestID(obs.ContextWithTrace(sctx, tr), rid)
-		r.c.Fragments(sctx, r.dataset, spec) //nolint:errcheck // speculative
-	}()
+	out := make([][][]byte, len(runs))
+	for vi, run := range runs {
+		for fi := run.Lo; fi < run.Hi; fi++ {
+			out[vi] = append(out[vi], got[r.vars[vi].Name][fi])
+		}
+	}
+	return out, nil
 }
+
+// WireBytes implements core.Source with the client's wire counter, which
+// every Remote sharing the client adds to.
+func (r *Remote) WireBytes() int64 { return r.c.wireBytes.Load() }

@@ -172,8 +172,8 @@ type Iteration struct {
 	EstErrors []float64
 	// RetrievedBytes is the session's cumulative logical fragment bytes.
 	RetrievedBytes int64
-	// WireBytes is the cumulative bytes the transport actually moved (via
-	// Config.WireBytes); zero for local archives.
+	// WireBytes is the cumulative bytes the session's Source actually
+	// moved (Source.WireBytes); zero for local archives.
 	WireBytes int64
 	// ToleranceMet reports whether every QoI certified this iteration
 	// (i.e. this is the final report of a successful Retrieve).
@@ -201,18 +201,6 @@ type Config struct {
 	// theorem-based qoi.TheoremBound; qoi.IntervalBound is the
 	// interval-arithmetic ablation).
 	Estimator qoi.BoundFunc
-	// Prefetch, when set, is invoked once per retrieval iteration before the
-	// readers advance: need[v] lists the fragment indices variable v will
-	// ingest this iteration (nil when v needs nothing). A remote retrieval
-	// client uses the hook to pull every needed fragment across all
-	// variables in a single batched round trip; fragments already present
-	// locally may be ignored by the hook. ctx is the Retrieve context: the
-	// hook must abandon in-flight work when it is cancelled.
-	Prefetch func(ctx context.Context, need [][]int) error
-	// WireBytes, when set, reports the cumulative bytes the transport
-	// actually moved (a remote client's wire counter). It feeds
-	// Iteration.WireBytes; nil means no transport (local archive).
-	WireBytes func() int64
 	// Trace, when set, records one span per retrieval phase (plan, fetch,
 	// decode, commit, estimate) for every iteration, plus an umbrella span
 	// per Retrieve call, and stamps the retrieval's request ID into the
@@ -262,6 +250,7 @@ type Retriever struct {
 	vars    []*Variable
 	readers []*progressive.Reader
 	cfg     Config
+	src     Source // nil for resident archives
 
 	eps      []float64 // requested per-variable bounds (assigner state)
 	achieved []float64 // bounds achieved by the readers
@@ -272,8 +261,30 @@ type Retriever struct {
 // the requested tolerances (the Algorithm 2 exit condition).
 var ErrExhausted = errors.New("core: representation exhausted before tolerance met")
 
-// NewRetriever opens a retrieval session. fetch (optional) observes every
-// fragment fetch for byte accounting or transfer simulation.
+// Run is a half-open range [Lo, Hi) of one variable's fragment indices.
+type Run struct{ Lo, Hi int }
+
+// Source supplies the fragment payloads of a session opened with
+// NewSourceRetriever: an archive whose payloads live elsewhere (a progqoid
+// service, an object-store bucket) and cross a transport on demand.
+//
+// Reader.Plan always returns one contiguous run of fragments per variable,
+// so each retrieval iteration asks the source once, for at most one run
+// per variable.
+type Source interface {
+	// Fetch returns, for every variable v with a non-empty runs[v], the
+	// Hi−Lo payloads of fragments runs[v].Lo … runs[v].Hi−1 in order;
+	// entries for empty runs are ignored. ctx is the Retrieve context:
+	// Fetch must abandon in-flight work when it is cancelled.
+	Fetch(ctx context.Context, runs []Run) ([][][]byte, error)
+	// WireBytes reports the cumulative bytes the source has moved. It
+	// feeds Iteration.WireBytes.
+	WireBytes() int64
+}
+
+// NewRetriever opens a retrieval session over resident variables. fetch
+// (optional) observes every fragment fetch for byte accounting or
+// transfer simulation.
 func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*Retriever, error) {
 	rt := &Retriever{vars: vars, cfg: cfg.withDefaults()}
 	if fetch != nil && rt.cfg.Workers > 1 && len(vars) > 1 {
@@ -317,6 +328,27 @@ func NewRetriever(vars []*Variable, cfg Config, fetch progressive.FetchFunc) (*R
 	return rt, nil
 }
 
+// NewSourceRetriever opens a retrieval session whose fragment payloads come
+// from src. vars carry metadata only; the session copies them into
+// payload slots of its own, so concurrent sessions over the same vars
+// never share fetched bytes. fetch is as for NewRetriever.
+func NewSourceRetriever(vars []*Variable, src Source, cfg Config, fetch progressive.FetchFunc) (*Retriever, error) {
+	own := make([]*Variable, len(vars))
+	for i, v := range vars {
+		ref := *v.Ref
+		ref.Fragments = make([][]byte, len(v.Ref.Fragments))
+		cv := *v
+		cv.Ref = &ref
+		own[i] = &cv
+	}
+	rt, err := NewRetriever(own, cfg, fetch)
+	if err != nil {
+		return nil, err
+	}
+	rt.src = src
+	return rt, nil
+}
+
 // RetrievedBytes returns cumulative fragment bytes fetched this session.
 func (rt *Retriever) RetrievedBytes() int64 {
 	var n int64
@@ -331,7 +363,7 @@ func (rt *Retriever) RetrievedBytes() int64 {
 //
 // ctx scopes the whole retrieval: cancellation or deadline expiry is
 // observed between loop iterations, between fragment ingests, and by the
-// Prefetch transport hook on in-flight requests. On cancellation Retrieve
+// session's Source on in-flight requests. On cancellation Retrieve
 // returns the best-effort Result accumulated so far together with an error
 // wrapping ctx.Err(); the Retriever stays valid and a follow-up Retrieve
 // resumes without re-fetching anything already held. A nil ctx means
@@ -407,10 +439,10 @@ func (rt *Retriever) Retrieve(ctx context.Context, req Request) (*Result, error)
 		}
 	}
 	wire := func() int64 {
-		if rt.cfg.WireBytes == nil {
+		if rt.src == nil {
 			return 0
 		}
-		return rt.cfg.WireBytes()
+		return rt.src.WireBytes()
 	}
 
 	for iter := 0; iter < rt.cfg.MaxIters; iter++ {
@@ -528,30 +560,9 @@ func (rt *Retriever) assignInitial(req Request, qoiVars [][]int) {
 // Workers > 1; per-variable state is independent and results merge by
 // index, so the outcome is identical to the sequential order.
 func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter int) (bool, error) {
-	if rt.cfg.Prefetch != nil {
-		mPlan := rt.cfg.Trace.BeginIter(obs.CatPlan, "plan", iter)
-		need := make([][]int, len(rt.vars))
-		any := false
-		for v := range rt.vars {
-			if !involved[v] {
-				continue
-			}
-			if p := rt.readers[v].Plan(rt.eps[v]); len(p) > 0 {
-				need[v] = p
-				any = true
-			}
-		}
-		mPlan.End()
-		if any {
-			// The umbrella prefetch span carries no bytes; the transport
-			// records byte-carrying fetch spans underneath it at exactly the
-			// points where its wire counter is incremented.
-			mFetch := rt.cfg.Trace.BeginIter(obs.CatFetch, "prefetch", iter)
-			err := rt.cfg.Prefetch(ctx, need)
-			mFetch.End()
-			if err != nil {
-				return false, fmt.Errorf("core: prefetch: %w", err)
-			}
+	if rt.src != nil {
+		if err := rt.prefetch(ctx, involved, iter); err != nil {
+			return false, fmt.Errorf("core: prefetch: %w", err)
 		}
 	}
 	var todo []int
@@ -629,6 +640,74 @@ func (rt *Retriever) advance(ctx context.Context, involved map[int]bool, iter in
 		}
 	}
 	return progressed, nil
+}
+
+// prefetch asks the source for every fragment the involved readers will
+// ingest this iteration and are not yet held, as one run per variable,
+// and installs the payloads. A fragment is held when its slot is non-nil,
+// so after a cancelled Retrieve the next one fetches nothing twice.
+func (rt *Retriever) prefetch(ctx context.Context, involved map[int]bool, iter int) error {
+	mPlan := rt.cfg.Trace.BeginIter(obs.CatPlan, "plan", iter)
+	runs := make([]Run, len(rt.vars))
+	any := false
+	for v := range rt.vars {
+		if !involved[v] {
+			continue
+		}
+		plan := rt.readers[v].Plan(rt.eps[v])
+		if len(plan) == 0 {
+			continue
+		}
+		frags := rt.vars[v].Ref.Fragments
+		r := Run{plan[0], plan[len(plan)-1] + 1}
+		if r.Lo < 0 || r.Hi > len(frags) || r.Hi-r.Lo != len(plan) {
+			mPlan.End()
+			return fmt.Errorf("%s: plan wants fragments [%d,%d) of %d", rt.vars[v].Name, r.Lo, r.Hi, len(frags))
+		}
+		for r.Lo < r.Hi && frags[r.Lo] != nil {
+			r.Lo++
+		}
+		for r.Hi > r.Lo && frags[r.Hi-1] != nil {
+			r.Hi--
+		}
+		if r.Lo < r.Hi {
+			runs[v] = r
+			any = true
+		}
+	}
+	mPlan.End()
+	if !any {
+		return nil
+	}
+	// The umbrella prefetch span carries no bytes; the source records
+	// byte-carrying fetch spans underneath it at exactly the points where
+	// its wire counter is incremented.
+	mFetch := rt.cfg.Trace.BeginIter(obs.CatFetch, "prefetch", iter)
+	got, err := rt.src.Fetch(ctx, runs)
+	mFetch.End()
+	if err != nil {
+		return err
+	}
+	if len(got) != len(runs) {
+		return fmt.Errorf("source answered %d variables, want %d", len(got), len(runs))
+	}
+	for v, r := range runs {
+		if r.Lo == r.Hi {
+			continue
+		}
+		if len(got[v]) != r.Hi-r.Lo {
+			return fmt.Errorf("%s: source returned %d fragments for [%d,%d)", rt.vars[v].Name, len(got[v]), r.Lo, r.Hi)
+		}
+		for i, p := range got[v] {
+			if p == nil {
+				return fmt.Errorf("%s: source returned no payload for fragment %d", rt.vars[v].Name, r.Lo+i)
+			}
+		}
+	}
+	for v, r := range runs {
+		copy(rt.vars[v].Ref.Fragments[r.Lo:r.Hi], got[v])
+	}
+	return nil
 }
 
 // applyMask returns the reconstruction with exact-zero points restored. The

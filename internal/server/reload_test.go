@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"progqoi/internal/core"
@@ -274,4 +275,61 @@ func TestReloadRepublishServesFreshBytes(t *testing.T) {
 	if bytes.Equal(newFrag, oldFrag) {
 		t.Fatal("republished data identical to old data — test is vacuous")
 	}
+}
+
+// countingStore counts Get calls per key.
+type countingStore struct {
+	storage.Store
+	mu   sync.Mutex
+	gets map[string]int // guarded by mu
+}
+
+func (c *countingStore) Get(ctx context.Context, key string) ([]byte, error) {
+	c.mu.Lock()
+	c.gets[key]++
+	c.mu.Unlock()
+	return c.Store.Get(ctx, key)
+}
+
+// take returns the counts since the last take and resets them.
+func (c *countingStore) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	g := c.gets
+	c.gets = map[string]int{}
+	return g
+}
+
+// TestLoadReadsEachKeyOnce checks that startup and Reload get the manifest
+// and every variable blob exactly once: metadata, ranges, fragment tags and
+// the fingerprint all come from one read of each key.
+func TestLoadReadsEachKeyOnce(t *testing.T) {
+	mem := storage.NewMemStore()
+	vars := packDataset(t, mem, "alpha", 1)
+	cs := &countingStore{Store: mem, gets: map[string]int{}}
+	want := map[string]int{"alpha.manifest": 1}
+	for _, v := range vars {
+		want[storage.VarKey("alpha", v.Name)] = 1
+	}
+	check := func(stage string) {
+		t.Helper()
+		got := cs.take()
+		if len(got) != len(want) {
+			t.Fatalf("%s: got %v, want one Get of each of %v", stage, got, want)
+		}
+		for k, n := range want {
+			if got[k] != n {
+				t.Fatalf("%s: %d Gets of %s, want %d (all: %v)", stage, got[k], k, n, got)
+			}
+		}
+	}
+	srv, err := New(context.Background(), cs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("New")
+	if _, err := srv.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check("Reload")
 }

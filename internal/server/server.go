@@ -53,14 +53,12 @@
 // fragment payload inside its store blob, then drops the payloads.
 // Steady-state fragment reads go through a byte-bounded in-memory
 // hot-fragment LRU (Options.HotCacheBytes) in front of the store; a miss
-// is one ranged store read (storage.RangeReader when the store supports
-// it), re-verified against the fragment's recorded tag so silent disk
+// is one ranged store read, re-verified against the fragment's recorded tag so silent disk
 // corruption cannot reach the wire. A node therefore serves archives far
 // larger than its RAM, with the hot set pinned.
 package server
 
 import (
-	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -416,22 +414,19 @@ func (s *Server) loadCatalog(ctx context.Context, prev *catalog) (*catalog, erro
 
 // loadDataset loads one archive and precomputes its wire artifacts,
 // dropping fragment payloads once their integrity tags and byte offsets are
-// recorded. The archive is always re-validated in full (startup-equivalent
+// recorded. Every store key is read once: metadata, ranges, tags and the
+// fingerprint all derive from the same bytes. The archive is always re-validated in full (startup-equivalent
 // checks); but when its stored bytes fingerprint the same as prev, prev is
 // returned instead of the rebuild, so an unchanged dataset keeps its load
 // generation — and with it the hot-cache slice and the object identity
 // in-flight retrievals depend on.
 func (s *Server) loadDataset(ctx context.Context, name string, prev *dataset) (*dataset, error) {
-	mraw, err := s.store.Get(ctx, name+".manifest")
+	a, err := storage.LoadArchive(ctx, s.store, name)
 	if err != nil {
 		return nil, fmt.Errorf("server: load dataset %q: %w", name, err)
 	}
-	fingerprint := etag(mraw)
-	vars, err := storage.ReadArchive(ctx, s.store, name)
-	if err != nil {
-		return nil, fmt.Errorf("server: load dataset %q: %w", name, err)
-	}
-	ds := &dataset{name: name, gen: s.gen.Add(1), vars: vars, varIdx: map[string]int{}}
+	vars := a.Vars
+	ds := &dataset{name: name, gen: s.gen.Add(1), vars: vars, varIdx: map[string]int{}, fragLocs: a.Ranges}
 	idx, err := json.Marshal(BuildIndex(name, vars))
 	if err != nil {
 		return nil, err
@@ -441,7 +436,7 @@ func (s *Server) loadDataset(ctx context.Context, name string, prev *dataset) (*
 	ds.metaTag = etag(ds.meta)
 	ds.fragTags = make([][]string, len(vars))
 	ds.varKeys = make([]string, len(vars))
-	ds.fragLocs = make([][]storage.FragmentRange, len(vars))
+	fingerprint := etag(a.Manifest)
 	for vi, v := range vars {
 		ds.varIdx[v.Name] = vi
 		tags := make([]string, len(v.Ref.Fragments))
@@ -449,28 +444,8 @@ func (s *Server) loadDataset(ctx context.Context, name string, prev *dataset) (*
 			tags[fi] = etag(f)
 		}
 		ds.fragTags[vi] = tags
-		key := storage.VarKey(name, v.Name)
-		raw, err := s.store.Get(ctx, key)
-		if err != nil {
-			return nil, fmt.Errorf("server: locate fragments of %s/%s: %w", name, v.Name, err)
-		}
-		locs, err := storage.VariableFragmentRanges(raw)
-		if err != nil {
-			return nil, fmt.Errorf("server: locate fragments of %s/%s: %w", name, v.Name, err)
-		}
-		if len(locs) != len(v.Ref.Fragments) {
-			return nil, fmt.Errorf("server: %s/%s: %d fragment ranges for %d fragments",
-				name, v.Name, len(locs), len(v.Ref.Fragments))
-		}
-		for fi, loc := range locs {
-			if loc.Len != int64(len(v.Ref.Fragments[fi])) {
-				return nil, fmt.Errorf("server: %s/%s/%d: range length %d, fragment %d",
-					name, v.Name, fi, loc.Len, len(v.Ref.Fragments[fi]))
-			}
-		}
-		ds.varKeys[vi] = key
-		ds.fragLocs[vi] = locs
-		fingerprint += "/" + etag(raw)
+		ds.varKeys[vi] = storage.VarKey(name, v.Name)
+		fingerprint += "/" + etag(a.Blobs[vi])
 		// Loading is the only time the whole variable is resident: drop
 		// the payloads now that the index, tags and offsets are recorded.
 		// Serving pulls them back through the hot cache.
@@ -799,27 +774,7 @@ func (s *Server) fragment(ctx context.Context, ds *dataset, vi, fi int) ([]byte,
 		return b, nil
 	}
 	loc := ds.fragLocs[vi][fi]
-	var (
-		b   []byte
-		err error
-	)
-	if rr, ok := s.store.(storage.RangeReader); ok {
-		b, err = rr.GetRange(ctx, ds.varKeys[vi], loc.Off, loc.Len)
-	} else {
-		// Store without partial reads: load the variable blob and copy the
-		// fragment out. The clone matters: caching a subslice would pin
-		// the whole blob's backing array while the cache accounts only the
-		// fragment's length, making the byte bound fiction.
-		var raw []byte
-		raw, err = s.store.Get(ctx, ds.varKeys[vi])
-		if err == nil {
-			if loc.Off+loc.Len > int64(len(raw)) {
-				err = fmt.Errorf("server: %s/%s blob shrank under us", ds.name, ds.vars[vi].Name)
-			} else {
-				b = bytes.Clone(raw[loc.Off : loc.Off+loc.Len])
-			}
-		}
-	}
+	b, err := s.store.GetRange(ctx, ds.varKeys[vi], loc.Off, loc.Len)
 	if err != nil {
 		return nil, fmt.Errorf("server: read fragment %s/%s/%d: %w", ds.name, ds.vars[vi].Name, fi, err)
 	}

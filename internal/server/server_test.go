@@ -311,8 +311,9 @@ func TestGzipResponses(t *testing.T) {
 	}
 }
 
-// gateStore blocks Get calls (after construction) until released, so the
-// test can observe the concurrency limiter holding requests back.
+// gateStore blocks Get and GetRange calls (after construction) until
+// released, so the test can observe the concurrency limiter holding
+// requests back.
 type gateStore struct {
 	storage.Store
 	mu      sync.Mutex
@@ -321,7 +322,7 @@ type gateStore struct {
 	release chan struct{}
 }
 
-func (g *gateStore) Get(ctx context.Context, key string) ([]byte, error) {
+func (g *gateStore) wait(key string) {
 	g.mu.Lock()
 	armed := g.armed
 	g.mu.Unlock()
@@ -329,7 +330,16 @@ func (g *gateStore) Get(ctx context.Context, key string) ([]byte, error) {
 		g.started <- key
 		<-g.release
 	}
+}
+
+func (g *gateStore) Get(ctx context.Context, key string) ([]byte, error) {
+	g.wait(key)
 	return g.Store.Get(ctx, key)
+}
+
+func (g *gateStore) GetRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
+	g.wait(key)
+	return g.Store.GetRange(ctx, key, off, length)
 }
 
 func TestConcurrencyLimit(t *testing.T) {
@@ -356,7 +366,7 @@ func TestConcurrencyLimit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// With the hot cache off, every batch reads its fragment
-			// through gateStore.Get: the store has no ranged reads.
+			// through gateStore.GetRange.
 			body, _ := json.Marshal(BatchRequest{Wants: []BatchWant{{Var: vars[0].Name, Indices: []int{0}}}})
 			resp, err := http.Post(hs.URL+"/v1/d/ge/frags", "application/json", bytes.NewReader(body))
 			if err == nil {

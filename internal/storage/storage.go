@@ -55,19 +55,15 @@ type Store interface {
 	Put(ctx context.Context, key string, val []byte) error
 	// Get reads a value; ErrNotFound when missing.
 	Get(ctx context.Context, key string) ([]byte, error)
+	// GetRange reads exactly length bytes starting at off within the value
+	// stored under key; reads past the end of the value fail rather than
+	// truncate. A consumer holding only fragment offsets (see
+	// VariableFragmentRanges) uses it to pull fragments off disk, or out
+	// of a bucket with one HTTP ranged GET, without loading the whole
+	// variable blob.
+	GetRange(ctx context.Context, key string, off, length int64) ([]byte, error)
 	// Keys lists all keys in lexical order.
 	Keys(ctx context.Context) ([]string, error)
-}
-
-// RangeReader is an optional Store extension for partial reads. A server
-// holding only fragment offsets (see VariableFragmentRanges) uses it to
-// pull one fragment off disk — or out of a bucket with one HTTP ranged
-// GET — without materializing the whole variable blob. Implementations
-// must return exactly length bytes or an error.
-type RangeReader interface {
-	// GetRange reads length bytes starting at off within the value stored
-	// under key. Reads past the end of the value fail rather than truncate.
-	GetRange(ctx context.Context, key string, off, length int64) ([]byte, error)
 }
 
 // ctxErr reports the context's cancellation state, tolerating the nil
@@ -132,7 +128,7 @@ func (s *MemStore) Get(ctx context.Context, key string) ([]byte, error) {
 	return append([]byte(nil), v...), nil
 }
 
-// GetRange implements RangeReader.
+// GetRange implements Store.
 func (s *MemStore) GetRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -226,7 +222,7 @@ func (s *DirStore) Get(ctx context.Context, key string) ([]byte, error) {
 	return b, err
 }
 
-// GetRange implements RangeReader with one positioned read, so a fragment
+// GetRange implements Store with one positioned read, so a fragment
 // fetch costs a pread instead of loading the whole variable file.
 func (s *DirStore) GetRange(ctx context.Context, key string, off, length int64) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
@@ -296,86 +292,96 @@ func WriteArchive(ctx context.Context, st Store, name string, vars []*core.Varia
 
 // ReadArchive reopens an archive written by WriteArchive.
 func ReadArchive(ctx context.Context, st Store, name string) ([]*core.Variable, error) {
-	vars, _, err := readArchive(ctx, st, name, false)
-	return vars, err
+	a, err := LoadArchive(ctx, st, name)
+	if err != nil {
+		return nil, err
+	}
+	return a.Vars, nil
 }
 
-// ReadArchiveRanged reopens an archive like ReadArchive, but additionally
-// returns, for every variable, the byte ranges of its fragment payloads
-// within the raw store blob — and strips the payloads from the returned
-// variables. It is the meta-only open a range-reading consumer wants: one
-// pass over each blob up front, then any individual fragment re-readable
-// with RangeReader.GetRange at its recorded range. ranges[i][j] locates
-// fragment j of vars[i] inside the blob stored under VarKey(name,
-// vars[i].Name).
-func ReadArchiveRanged(ctx context.Context, st Store, name string) (vars []*core.Variable, ranges [][]FragmentRange, err error) {
-	return readArchive(ctx, st, name, true)
+// Loaded is an archive as LoadArchive read it: the decoded variables next
+// to the raw store values they came from, so a consumer can fingerprint
+// the stored bytes or range-read payloads later without a second read.
+type Loaded struct {
+	// Manifest is the raw manifest value, CRC trailer included.
+	Manifest []byte
+	// Vars are the decoded variables, fragment payloads included (they
+	// alias Blobs).
+	Vars []*core.Variable
+	// Blobs[i] is the raw value stored under VarKey(name, Vars[i].Name),
+	// CRC trailer included.
+	Blobs [][]byte
+	// Ranges[i][j] locates fragment j of Vars[i] inside Blobs[i], for
+	// GetRange at that key.
+	Ranges [][]FragmentRange
 }
 
-// readArchive walks the manifest and loads each variable blob; with ranged
-// set it also records fragment payload ranges and strips the payloads.
-func readArchive(ctx context.Context, st Store, name string, ranged bool) ([]*core.Variable, [][]FragmentRange, error) {
+// LoadArchive reads an archive written by WriteArchive, getting the
+// manifest and every variable blob exactly once. Each blob is CRC-checked
+// once, and its fragment ranges are checked against the decoded payloads.
+func LoadArchive(ctx context.Context, st Store, name string) (*Loaded, error) {
 	mraw, err := st.Get(ctx, name+".manifest")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	manifest, err := checkCRC(mraw)
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: manifest: %w", err)
+		return nil, fmt.Errorf("storage: manifest: %w", err)
 	}
 	if len(manifest) < len(archiveMagic)+4 || string(manifest[:len(archiveMagic)]) != string(archiveMagic) {
-		return nil, nil, fmt.Errorf("%w: bad archive magic", encoding.ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad archive magic", encoding.ErrCorrupt)
 	}
 	off := len(archiveMagic)
 	n := int(binary.LittleEndian.Uint32(manifest[off:]))
 	off += 4
 	if n < 0 || n > 1<<16 {
-		return nil, nil, fmt.Errorf("%w: %d variables", encoding.ErrCorrupt, n)
+		return nil, fmt.Errorf("%w: %d variables", encoding.ErrCorrupt, n)
 	}
-	vars := make([]*core.Variable, n)
-	var ranges [][]FragmentRange
-	if ranged {
-		ranges = make([][]FragmentRange, n)
+	a := &Loaded{
+		Manifest: mraw,
+		Vars:     make([]*core.Variable, n),
+		Blobs:    make([][]byte, n),
+		Ranges:   make([][]FragmentRange, n),
 	}
 	for i := 0; i < n; i++ {
 		nameB, m, err := encoding.GetSection(manifest[off:])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		off += m
 		key := VarKey(name, string(nameB))
 		raw, err := st.Get(ctx, key)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		blob, err := checkCRC(raw)
 		if err != nil {
-			return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
+			return nil, fmt.Errorf("storage: %s: %w", key, err)
 		}
 		v, err := unmarshalVariable(blob)
 		if err != nil {
-			return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
+			return nil, fmt.Errorf("storage: %s: %w", key, err)
 		}
 		if v.Name != string(nameB) {
-			return nil, nil, fmt.Errorf("%w: variable blob name %q != manifest %q", encoding.ErrCorrupt, v.Name, nameB)
+			return nil, fmt.Errorf("%w: variable blob name %q != manifest %q", encoding.ErrCorrupt, v.Name, nameB)
 		}
-		if ranged {
-			fr, err := VariableFragmentRanges(raw)
-			if err != nil {
-				return nil, nil, fmt.Errorf("storage: %s: %w", key, err)
-			}
-			if len(fr) != len(v.Ref.Fragments) {
-				return nil, nil, fmt.Errorf("%w: %s: %d payload ranges for %d fragments",
-					encoding.ErrCorrupt, key, len(fr), len(v.Ref.Fragments))
-			}
-			ranges[i] = fr
-			for j := range v.Ref.Fragments {
-				v.Ref.Fragments[j] = nil
+		fr, err := fragmentRanges(blob)
+		if err != nil {
+			return nil, fmt.Errorf("storage: %s: %w", key, err)
+		}
+		if len(fr) != len(v.Ref.Fragments) {
+			return nil, fmt.Errorf("%w: %s: %d payload ranges for %d fragments",
+				encoding.ErrCorrupt, key, len(fr), len(v.Ref.Fragments))
+		}
+		for j, r := range fr {
+			if r.Len != int64(len(v.Ref.Fragments[j])) {
+				return nil, fmt.Errorf("%w: %s: fragment %d range length %d, payload %d",
+					encoding.ErrCorrupt, key, j, r.Len, len(v.Ref.Fragments[j]))
 			}
 		}
-		vars[i] = v
+		a.Vars[i], a.Blobs[i], a.Ranges[i] = v, raw, fr
 	}
-	return vars, ranges, nil
+	return a, nil
 }
 
 // VarKey returns the store key of one variable's blob within an archive,
@@ -394,14 +400,20 @@ type FragmentRange struct {
 
 // VariableFragmentRanges walks a raw .var store blob (as written by
 // WriteArchive) and returns the byte range of every fragment payload
-// within it, in fragment order. A server that knows these ranges can drop
-// the payloads from memory and re-read any one of them with a
-// RangeReader. The blob CRC is verified before walking.
+// within it, in fragment order. A consumer that knows these ranges can
+// drop the payloads from memory and re-read any one of them with
+// Store.GetRange. The blob CRC is verified before walking.
 func VariableFragmentRanges(raw []byte) ([]FragmentRange, error) {
 	blob, err := checkCRC(raw)
 	if err != nil {
 		return nil, fmt.Errorf("storage: fragment ranges: %w", err)
 	}
+	return fragmentRanges(blob)
+}
+
+// fragmentRanges is VariableFragmentRanges over a blob whose CRC trailer
+// has already been checked and cut off.
+func fragmentRanges(blob []byte) ([]FragmentRange, error) {
 	// marshalVariable layout: sections name, range, mask, then the
 	// progressive.Refactored blob. Within that: one header section, a
 	// 4-byte fragment count, then one section per fragment.

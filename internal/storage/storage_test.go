@@ -255,24 +255,20 @@ func TestGetRange(t *testing.T) {
 	}
 	for name, s := range map[string]Store{"mem": mem, "dir": dir} {
 		t.Run(name, func(t *testing.T) {
-			rr, ok := s.(RangeReader)
-			if !ok {
-				t.Fatalf("%T does not implement RangeReader", s)
-			}
 			if err := s.Put(context.Background(), "blob", []byte("0123456789")); err != nil {
 				t.Fatal(err)
 			}
-			got, err := rr.GetRange(context.Background(), "blob", 3, 4)
+			got, err := s.GetRange(context.Background(), "blob", 3, 4)
 			if err != nil || string(got) != "3456" {
 				t.Fatalf("GetRange = %q, %v", got, err)
 			}
-			if _, err := rr.GetRange(context.Background(), "blob", 8, 4); err == nil {
+			if _, err := s.GetRange(context.Background(), "blob", 8, 4); err == nil {
 				t.Fatal("read past end did not fail")
 			}
-			if _, err := rr.GetRange(context.Background(), "blob", -1, 2); err == nil {
+			if _, err := s.GetRange(context.Background(), "blob", -1, 2); err == nil {
 				t.Fatal("negative offset accepted")
 			}
-			if _, err := rr.GetRange(context.Background(), "missing", 0, 1); !errors.Is(err, ErrNotFound) {
+			if _, err := s.GetRange(context.Background(), "missing", 0, 1); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("missing key: want ErrNotFound, got %v", err)
 			}
 		})

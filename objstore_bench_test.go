@@ -46,19 +46,19 @@ func coldBenchSetup(b *testing.B) {
 		if err := storage.WriteArchive(ctx, seed, "ge", arch.Variables()); err != nil {
 			b.Fatal(err)
 		}
-		vars, ranges, err := storage.ReadArchiveRanged(ctx, seed, "ge")
+		l, err := storage.LoadArchive(ctx, seed, "ge")
 		if err != nil {
 			b.Fatal(err)
 		}
-		keys := make([]string, len(vars))
+		keys := make([]string, len(l.Vars))
 		var total int64
-		for i, v := range vars {
+		for i, v := range l.Vars {
 			keys[i] = storage.VarKey("ge", v.Name)
-			for _, r := range ranges[i] {
+			for _, r := range l.Ranges[i] {
 				total += r.Len
 			}
 		}
-		coldBench.srv, coldBench.keys, coldBench.ranges, coldBench.total = srv, keys, ranges, total
+		coldBench.srv, coldBench.keys, coldBench.ranges, coldBench.total = srv, keys, l.Ranges, total
 	})
 }
 

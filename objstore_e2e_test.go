@@ -174,6 +174,25 @@ func TestOpenSchemesMatchEndToEnd(t *testing.T) {
 	}
 }
 
+// TestS3SessionOneRangePerVariablePerIteration checks the cold-fetch
+// cost of an s3:// session with the store cache off: each retrieval
+// iteration reads at most one byte range per variable, and the result
+// stays bit-identical to the local archive.
+func TestS3SessionOneRangePerVariablePerIteration(t *testing.T) {
+	srv, arch, ds := seedBucket(t)
+	req := clusterRequest(t, ds.FieldNames)
+	local := doOnce(t, arch, req)
+	a := openBucket(t, srv, WithCache(-1))
+	before, _, _, _ := srv.Stats()
+	res := doOnce(t, a, req)
+	after, _, _, _ := srv.Stats()
+	mustEqualResults(t, local, res)
+	if gets, limit := after-before, int64(res.Iterations*len(a.FieldNames())); gets > limit {
+		t.Fatalf("%d GETs for %d iterations over %d variables, want at most %d",
+			gets, res.Iterations, len(a.FieldNames()), limit)
+	}
+}
+
 // TestObjstoreFaultMatrix drives the bucket transport through the faults
 // the stateless tier must absorb (transient) or refuse (integrity).
 func TestObjstoreFaultMatrix(t *testing.T) {

@@ -42,18 +42,19 @@ type StoreFetchStats = storage.FetchStats
 //
 //   - "s3://bucket[/prefix]/dataset" opens the dataset directly from an
 //     S3-compatible object store: retrieval metadata is read once up
-//     front, and sessions then fetch exactly the fragment byte ranges
-//     each tolerance needs with authenticated ranged GETs. The endpoint
-//     and credentials come from WithS3Endpoint / WithS3Credentials or the
-//     PROGQOI_S3_* environment variables; every read is ETag-pinned, so
+//     front, and sessions then fetch the fragment bytes each tolerance
+//     needs with authenticated ranged GETs, one byte range per variable
+//     per retrieval iteration. The endpoint and credentials come from
+//     WithS3Endpoint / WithS3Credentials or the PROGQOI_S3_* environment
+//     variables; every read is ETag-pinned, so
 //     a bucket republished mid-session surfaces as an error, never as
 //     stale bytes.
 //
 //   - "http://…" / "https://…" opens a dataset served by a progqoid
 //     fragment service: the base URL is the reference minus its last path
 //     segment. All cluster options
-//     (WithEndpoints, WithReplication, WithPeerDiscovery, WithReadAhead)
-//     apply.
+//     (WithEndpoints, WithReplication, WithPeerDiscovery,
+//     WithTopologyRefresh) apply.
 //
 //   - "file:///dir/dataset", "file://dir/dataset" and bare paths open a
 //     local archive directory; fragments are resident in memory like an
@@ -182,7 +183,6 @@ func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOp
 	rem, err := client.Open(ctx, baseURL, dataset, client.Options{
 		CacheBytes:      ro.cacheBytes,
 		MaxRetries:      ro.maxRetries,
-		ReadAhead:       ro.readAhead,
 		HTTPClient:      ro.httpClient,
 		Endpoints:       ro.endpoints,
 		Replication:     ro.replication,
@@ -193,13 +193,10 @@ func openRemoteArchive(ctx context.Context, baseURL, dataset string, ro remoteOp
 	if err != nil {
 		return nil, err
 	}
-	names := rem.FieldNames()
-	return &Archive{
-		names:  names,
-		dims:   rem.Dims(),
-		fields: len(names),
-		remote: rem,
-	}, nil
+	a := archiveFromVars(rem.Variables())
+	a.remote, a.stored = rem, rem.StoredBytes()
+	a.source = func(workers int) core.Source { return rem.WithWorkers(workers) }
+	return a, nil
 }
 
 // archiveFromVars wraps fully loaded variables as a local Archive.
@@ -215,79 +212,70 @@ func archiveFromVars(vars []*core.Variable) *Archive {
 	return &Archive{vars: vars, names: names, dims: dims, fields: len(vars)}
 }
 
-// storeArchive is an archive opened directly from an object store (the
-// s3:// case): retrieval metadata held locally, fragment payloads re-read
-// on demand at their recorded byte ranges. One storeArchive can serve many
-// concurrent sessions; the store's read-through cache is the shared layer
-// between them.
+// storeArchive is the core.Source of an archive opened directly from an
+// object store (the s3:// case): fragment payloads are re-read on demand
+// at their recorded byte ranges. One storeArchive serves many concurrent
+// sessions; the store's read-through cache is the shared layer between
+// them.
 type storeArchive struct {
-	st      *objstore.Store
-	dataset string
-	vars    []*core.Variable          // meta-only: fragment payloads stripped
-	ranges  [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
-	keys    []string                  // store key of each variable's blob
-	stored  int64                     // total fragment payload bytes at rest
-	wire    atomic.Int64              // fragment payload bytes fetched
+	st     *objstore.Store
+	ranges [][]storage.FragmentRange // ranges[vi][fi] within keys[vi]'s blob
+	keys   []string                  // store key of each variable's blob
+	wire   atomic.Int64              // fragment payload bytes fetched
 }
 
 // openStoreArchive reads the archive's metadata (one pass over each
-// variable blob) and returns a session factory whose fragment reads are
-// ranged GETs against st.
+// variable blob) and returns an archive whose sessions read fragment runs
+// with ranged GETs against st.
 func openStoreArchive(ctx context.Context, st *objstore.Store, dataset string) (*Archive, error) {
-	vars, ranges, err := storage.ReadArchiveRanged(ctx, st, dataset)
+	l, err := storage.LoadArchive(ctx, st, dataset)
 	if err != nil {
 		return nil, err
 	}
-	sa := &storeArchive{st: st, dataset: dataset, vars: vars, ranges: ranges}
-	sa.keys = make([]string, len(vars))
-	for i, v := range vars {
+	sa := &storeArchive{st: st, ranges: l.Ranges, keys: make([]string, len(l.Vars))}
+	a := archiveFromVars(l.Vars)
+	for i, v := range l.Vars {
 		sa.keys[i] = storage.VarKey(dataset, v.Name)
-		for _, r := range ranges[i] {
-			sa.stored += r.Len
+		// Keep the metadata only: payloads alias the whole blob.
+		for j := range v.Ref.Fragments {
+			a.stored += int64(len(v.Ref.Fragments[j]))
+			v.Ref.Fragments[j] = nil
 		}
 	}
-	a := archiveFromVars(vars)
-	a.vars, a.store = nil, sa
+	a.store = sa
+	a.source = func(int) core.Source { return sa }
 	return a, nil
 }
 
-// newSession mirrors the remote session factory: each session owns its
-// fragment payload slots; metadata is immutable and shared. The Prefetch
-// hook fetches exactly the byte range of every fragment the certify loop
-// plans, through the store's cache, retry and ETag-pinning layers.
-func (sa *storeArchive) newSession(fetch FetchObserver, cfg SessionConfig) (*core.Retriever, error) {
-	vars := make([]*core.Variable, len(sa.vars))
-	for i, v := range sa.vars {
-		ref := *v.Ref
-		ref.Fragments = make([][]byte, len(v.Ref.Fragments))
-		cv := *v
-		cv.Ref = &ref
-		vars[i] = &cv
-	}
-	cfg.Prefetch = func(ctx context.Context, need [][]int) error {
-		for vi, idxs := range need {
-			for _, fi := range idxs {
-				if fi < 0 || fi >= len(vars[vi].Ref.Fragments) {
-					return fmt.Errorf("progqoi: plan wants fragment %s/%d of %d",
-						vars[vi].Name, fi, len(vars[vi].Ref.Fragments))
-				}
-				if len(vars[vi].Ref.Fragments[fi]) != 0 {
-					continue
-				}
-				r := sa.ranges[vi][fi]
-				b, err := sa.st.GetRange(ctx, sa.keys[vi], r.Off, r.Len)
-				if err != nil {
-					return err
-				}
-				vars[vi].Ref.Fragments[fi] = b
-				sa.wire.Add(int64(len(b)))
-			}
+// Fetch implements core.Source with one ranged GET per run, through the
+// store's cache, retry and ETag-pinning layers. A run's fragments are
+// contiguous in the blob, separated only by their 4-byte length prefixes,
+// so each payload is sliced out of the one read at its recorded range.
+func (sa *storeArchive) Fetch(ctx context.Context, runs []core.Run) ([][][]byte, error) {
+	out := make([][][]byte, len(runs))
+	for vi, run := range runs {
+		if run.Lo == run.Hi {
+			continue
 		}
-		return nil
+		rs := sa.ranges[vi]
+		off := rs[run.Lo].Off
+		b, err := sa.st.GetRange(ctx, sa.keys[vi], off, rs[run.Hi-1].Off+rs[run.Hi-1].Len-off)
+		if err != nil {
+			return nil, err
+		}
+		out[vi] = make([][]byte, 0, run.Hi-run.Lo)
+		for _, r := range rs[run.Lo:run.Hi] {
+			lo, hi := r.Off-off, r.Off-off+r.Len
+			out[vi] = append(out[vi], b[lo:hi:hi])
+			sa.wire.Add(r.Len)
+		}
 	}
-	cfg.WireBytes = func() int64 { return sa.wire.Load() }
-	return core.NewRetriever(vars, cfg, fetch)
+	return out, nil
 }
+
+// WireBytes implements core.Source: fragment payload bytes fetched, not
+// counting the length prefixes a run read carries along.
+func (sa *storeArchive) WireBytes() int64 { return sa.wire.Load() }
 
 // StoreBacked reports whether the archive reads fragments from an object
 // store opened via an s3:// reference.

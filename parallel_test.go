@@ -168,48 +168,3 @@ func TestSharedCacheSessionsWithCancelMidDo(t *testing.T) {
 			res.RetrievedBytes, res.EstErrors[0], wantC.RetrievedBytes, wantC.EstErrors[0])
 	}
 }
-
-func TestReadAheadPipeline(t *testing.T) {
-	ds := parallelDataset()
-	arch, err := Refactor(ds.FieldNames, ds.Fields, ds.Dims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := doVTOT(t, arch, 1e-4)
-
-	hs := serveArchive(t, arch, "ge")
-	rarch, err := Open(context.Background(), hs.URL+"/ge", WithReadAhead(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := doVTOT(t, rarch, 1e-4)
-	if got.RetrievedBytes != want.RetrievedBytes || got.EstErrors[0] != want.EstErrors[0] {
-		t.Fatalf("read-ahead session certified (%d B, %g), local (%d B, %g)",
-			got.RetrievedBytes, got.EstErrors[0], want.RetrievedBytes, want.EstErrors[0])
-	}
-	for j := range want.Data[0] {
-		if math.Float64bits(got.Data[0][j]) != math.Float64bits(want.Data[0][j]) {
-			t.Fatalf("point %d: read-ahead reconstruction differs", j)
-		}
-	}
-	rarch.WaitReadAhead()
-	st := rarch.RemoteStats()
-	if st.Speculated == 0 {
-		t.Fatal("pipeline never speculated: read-ahead is not overlapping fetch with decode")
-	}
-	// Speculation may over-fetch (that is its price) but never under-counts:
-	// the wire carried at least the logical bytes, and everything speculated
-	// landed in the shared cache for later sessions.
-	if st.WireBytes < want.RetrievedBytes {
-		t.Fatalf("wire bytes %d below logical %d", st.WireBytes, want.RetrievedBytes)
-	}
-	// A tighter follow-up on the same session consumes speculated fragments
-	// from the cache instead of the wire.
-	before := rarch.RemoteStats()
-	_ = doVTOT(t, rarch, 1e-5)
-	rarch.WaitReadAhead()
-	after := rarch.RemoteStats()
-	if after.CacheHits <= before.CacheHits {
-		t.Fatal("tighter retrieval hit the cache zero times despite read-ahead")
-	}
-}

@@ -55,9 +55,10 @@
 // by all sessions of the archive, and coalesced across concurrent
 // sessions. Archive.RemoteStats reports actual wire bytes next to each
 // session's logical RetrievedBytes. An s3:// archive skips the daemon
-// entirely: sessions fetch exactly the fragment byte ranges they need
-// with authenticated ranged GETs, every read pinned to the object's ETag
-// (Archive.StoreStats reports the cold fetches that reached the bucket).
+// entirely: sessions fetch exactly the fragments they need with
+// authenticated ranged GETs, one byte range per variable per retrieval
+// iteration, every read pinned to the object's ETag (Archive.StoreStats
+// reports the cold fetches that reached the bucket).
 //
 // The producer side scales too: Refactor parallelizes across variables
 // and bit planes under [WithRefactorWorkers] with bit-identical output,
@@ -200,10 +201,14 @@ func WithRefactorWorkers(n int) Option { return func(o *options) { o.workers = n
 // s3 schemes return archives whose sessions fetch fragment payloads over
 // the wire as they need them.
 type Archive struct {
-	vars   []*core.Variable
+	vars   []*core.Variable // metadata only when source is set
 	names  []string
 	dims   []int
 	fields int
+	// source, set for http(s) and s3 archives, returns the fragment
+	// source of one session given the session's Workers budget.
+	source func(workers int) core.Source
+	stored int64 // bytes at the storage site, when source is set
 	remote *client.Remote
 	store  *storeArchive
 }
@@ -217,7 +222,6 @@ type RemoteOption func(*remoteOptions)
 type remoteOptions struct {
 	cacheBytes  int64
 	maxRetries  int
-	readAhead   int
 	httpClient  *http.Client
 	endpoints   []string
 	replication int
@@ -334,17 +338,6 @@ func WithTopologyRefresh(interval time.Duration) RemoteOption {
 	return func(o *remoteOptions) { o.topologyRefresh = interval }
 }
 
-// WithReadAhead pipelines the wire with the decoder: after each batched
-// fragment fetch, up to n further fragments per variable — the ones a
-// tightening iteration would request next — are fetched in the background
-// into the shared cache while the session's worker pool decodes the batch
-// it already has (default 0 = off). Speculative fragments count toward
-// RemoteStats.WireBytes even when a retrieval certifies before needing
-// them, so the wire total can exceed a session's RetrievedBytes.
-func WithReadAhead(n int) RemoteOption {
-	return func(o *remoteOptions) { o.readAhead = n }
-}
-
 // RemoteStats snapshots a remote archive's wire accounting: fragment
 // payload bytes fetched over HTTP (the same unit as RetrievedBytes;
 // batch framing not counted), cache hits (free), and coalesced
@@ -365,19 +358,8 @@ func (a *Archive) RemoteStats() RemoteStats {
 	return a.remote.Client().Stats()
 }
 
-// WaitReadAhead blocks until every background read-ahead fetch launched by
-// WithReadAhead sessions has finished — for orderly shutdown or stable
-// stats snapshots; retrieval itself never waits on speculation. No-op for
-// local archives.
-func (a *Archive) WaitReadAhead() {
-	if a.remote != nil {
-		a.remote.WaitReadAhead()
-	}
-}
-
-// Close releases the archive's background machinery: it waits for
-// in-flight read-ahead fetches and stops the topology refresher started
-// by WithTopologyRefresh. Idempotent; a no-op for local and store-backed
+// Close releases the archive's background machinery: it stops the
+// topology refresher started by WithTopologyRefresh. Idempotent; a no-op for local and store-backed
 // archives, and sessions already open keep working afterwards (the
 // routing view just stops following the cluster).
 func (a *Archive) Close() {
@@ -419,11 +401,8 @@ func (a *Archive) Dims() []int { return append([]int(nil), a.dims...) }
 // remote and store-backed archives: the bytes held at the storage site,
 // not yet fetched).
 func (a *Archive) StoredBytes() int64 {
-	if a.remote != nil {
-		return a.remote.StoredBytes()
-	}
-	if a.store != nil {
-		return a.store.stored
+	if a.source != nil {
+		return a.stored
 	}
 	var n int64
 	for _, v := range a.vars {
@@ -435,7 +414,12 @@ func (a *Archive) StoredBytes() int64 {
 // Variables exposes the underlying refactored variables (advanced use:
 // custom retrievers, storage layers, transfer simulation). Remote archives
 // hold no local variables and return nil.
-func (a *Archive) Variables() []*core.Variable { return a.vars }
+func (a *Archive) Variables() []*core.Variable {
+	if a.source != nil {
+		return nil
+	}
+	return a.vars
+}
 
 // FetchObserver sees every fragment fetch (index within its variable,
 // size in bytes); use it for byte accounting or transfer simulation.
@@ -521,12 +505,9 @@ func (a *Archive) Open(opts ...OpenOption) (*Session, error) {
 		rt  *core.Retriever
 		err error
 	)
-	switch {
-	case a.remote != nil:
-		rt, err = a.remote.NewSession(o.fetch, o.cfg)
-	case a.store != nil:
-		rt, err = a.store.newSession(o.fetch, o.cfg)
-	default:
+	if a.source != nil {
+		rt, err = core.NewSourceRetriever(a.vars, a.source(o.cfg.Workers), o.cfg, o.fetch)
+	} else {
 		rt, err = core.NewRetriever(a.vars, o.cfg, o.fetch)
 	}
 	if err != nil {
